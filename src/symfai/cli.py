@@ -15,7 +15,7 @@ import sys
 
 from . import attacks, immunity, search
 from .errors import CapabilityError, InvariantViolation
-from .sanfv import Sanfv, parse_function, to_sanfv, to_values, WeightValueVector
+from .sanfv import parse_function, to_sanfv, to_values, WeightValueVector
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -25,7 +25,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_f=True):
+    def common(p, needs_f=True, json_output=True):
         p.add_argument("--n", type=int, required=True, help="number of variables")
         if needs_f:
             p.add_argument(
@@ -33,7 +33,8 @@ def _build_parser() -> argparse.ArgumentParser:
                 required=True,
                 help="function spec: SANFV bits, 'v:'-prefixed value bits, 'sigma:i', or 'majority'",
             )
-        p.add_argument("--format", choices=["json", "csv", "pretty"], default="json")
+        if json_output:
+            p.add_argument("--format", choices=["json", "pretty"], default="json")
         p.add_argument("--out", help="write output to this path instead of stdout")
 
     p = sub.add_parser("analyze", help="degree, AI, FAI, witnesses and bound checks")
@@ -49,18 +50,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget-seconds", type=float, dest="budget_seconds")
 
     p = sub.add_parser("convert", help="SANFV <-> value-vector string")
-    common(p)
+    common(p, json_output=False)
 
     p = sub.add_parser("tables", help="the degree/AI bound tables")
     p.add_argument("--format", choices=["json", "csv", "pretty"], default="csv")
     p.add_argument("--out")
 
     p = sub.add_parser("stat", help="mean product-degree gap of the affine multiplier")
-    p.add_argument("--n", type=int, required=True)
+    common(p, needs_f=False)
     p.add_argument("--samples", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=["json", "csv", "pretty"], default="json")
-    p.add_argument("--out")
     return parser
 
 
@@ -78,14 +77,8 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _parse_f(args) -> Sanfv:
-    return parse_function(args.n, args.f)
-
-
 def _run_analyze(args) -> int:
-    f = _parse_f(args)
-    if args.format == "csv":
-        raise ValueError("analyze has no CSV form; use json or pretty")
+    f = parse_function(args.n, args.f)
     profile = immunity.profile(f)
     report = attacks.bound_suite(profile)
     payload = profile.to_json_dict()
@@ -96,9 +89,7 @@ def _run_analyze(args) -> int:
 
 
 def _run_attack(args) -> int:
-    f = _parse_f(args)
-    if args.format == "csv":
-        raise ValueError("attack has no CSV form; use json or pretty")
+    f = parse_function(args.n, args.f)
     if args.e is not None:
         certificates = [attacks.near_power_certificate(f, e=args.e)]
     else:
@@ -110,8 +101,6 @@ def _run_attack(args) -> int:
 
 
 def _run_search(args) -> int:
-    if args.format == "csv":
-        raise ValueError("search has no CSV form; use json or pretty")
     report = search.profile_all(args.n, budget_seconds=args.budget_seconds)
     if args.out:
         search.write_profiles_jsonl(report, args.out)
@@ -127,7 +116,7 @@ def _run_convert(args) -> int:
     if args.f.startswith("v:"):
         out = to_sanfv(WeightValueVector.from_string(args.n, args.f)).to_string()
     else:
-        out = to_values(_parse_f(args)).to_string()
+        out = to_values(parse_function(args.n, args.f)).to_string()
     _emit(out + "\n", args.out)
     return 0
 
@@ -146,8 +135,6 @@ def _run_tables(args) -> int:
 
 
 def _run_stat(args) -> int:
-    if args.format == "csv":
-        raise ValueError("stat has no CSV form; use json or pretty")
     result = attacks.product_degree_gap_statistic(args.n, args.samples, args.seed)
     _emit(_dump(result.to_json_dict(), args.format), args.out)
     return 0

@@ -10,9 +10,13 @@ class:
 
 * Annihilators of f are exactly the functions supported inside the zero set
   of f, which is a union of weight classes.  The ANF span of each class's
-  point indicators is echelonized once per (n, class) and merged per
-  function; with coordinates in graded order the minimum reachable degree
-  is the smallest pivot degree.
+  point indicators is echelonized once per (n, class).  One class sweep
+  merges these echelons for any set of class unions: the single union of
+  one function, or all 2^(n+1) unions for the census.  With coordinates in
+  graded order the minimum reachable degree is the degree of the lowest
+  pivot, and the annihilator reported is the one whose leading monomial is
+  least in graded order; exactly one annihilator has that leading
+  monomial, so the witness does not depend on how the span was built.
 * For FAI, the map g -> g*f is scanned monomial by monomial in graded
   order; each new echelon pivot at coordinate degree dd, reached while
   inserting a degree-e monomial, witnesses a pair value e + dd, and the
@@ -26,6 +30,7 @@ is used in the test suite to cross-check every result.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 from . import dense
@@ -57,7 +62,15 @@ def _monomials_to_json(masks: tuple[int, ...]) -> list[list[int]]:
 
 @dataclass(frozen=True)
 class ImmunityProfile:
-    """Per-function record: degree, AI with annihilator, FAI with multiplier pair."""
+    """Per-function record: degree, AI with annihilator, FAI with multiplier pair.
+
+    ai_witness comes from the weight-class sweep and annihilates f, or f+1
+    when that side has strictly lower degree.  Among the annihilators of
+    that side it is the one whose leading monomial (degree, then mask value)
+    is least; no other annihilator has the same leading monomial.
+    fai_witness is (g, g*f) for the first pair of the graded multiplier scan
+    that attains the FAI, or None when no pair beats the 2*AI cap.
+    """
 
     f: Sanfv
     deg: int | None
@@ -125,71 +138,61 @@ def _class_delta_echelon(n: int, k: int) -> tuple[int, ...]:
 def _zero_span_min_degree(n: int, class_mask: int) -> tuple[int | None, int | None]:
     """Minimum degree of a nonzero function supported on the given weight classes.
 
-    Returns (degree, anf_bits) of a witness, or (None, None) when the class
-    set is empty.  Merges the per-class echelons; the reachable degrees are
-    exactly the pivot degrees, so the best witness is the vector with the
-    smallest pivot.
+    Returns (degree, anf_bits) of the witness chosen by _class_sweep, or
+    (None, None) when the class set is empty.
     """
-    deg_by_rank = dense.rank_degrees(n)
-    basis = BitBasis()
-    best: tuple[int, int] | None = None
-    for k in iter_bits(class_mask):
-        for vec in _class_delta_echelon(n, k):
-            pivot, reduced, _ = basis.insert(vec)
-            if pivot is not None:
-                d = int(deg_by_rank[pivot])
-                if best is None or d < best[0]:
-                    best = (d, reduced)
-    if best is None:
-        return None, None
-    return best[0], dense.permuted_rank_to_anf_bits(n, best[1])
+    return _class_sweep(n, (class_mask,))[class_mask]
 
 
 def all_zero_set_degrees(n: int) -> dict[int, tuple[int | None, int | None]]:
-    """Minimum supported-function degree for every union of weight classes.
+    """_zero_span_min_degree for every union of weight classes, from one sweep.
 
-    One shared depth-first sweep over the n+1 classes reuses the elimination
-    state across the 2^(n+1) subsets; processing big classes first keeps the
-    expensive insertions near the root.  Used by the exhaustive search
-    harness; keys are class bit masks, values as in _zero_span_min_degree.
+    Used by the exhaustive search harness; keys are class bit masks.
     """
     _check_exact_n(n)
+    return _class_sweep(n, range(1 << (n + 1)))
+
+
+def _class_sweep(n: int, masks) -> dict[int, tuple[int | None, int | None]]:
+    """Minimum supported-function degree, with a witness, for each class mask.
+
+    Depth-first over the n+1 weight classes, biggest class first so that the
+    expensive insertions sit near the root; the elimination state is copied
+    only where the requested masks differ on the current class.  Coordinates
+    are graded, so the least degree in the span is the degree of the lowest
+    pivot.  The witness is the stored row with that pivot: it is the only
+    nonzero vector of the span with that leading coordinate, so it does not
+    depend on the order in which the classes were inserted.
+    """
     deg_by_rank = dense.rank_degrees(n)
-    order = sorted(range(n + 1), key=lambda k: (-_class_size(n, k), k))
+    order = sorted(range(n + 1), key=lambda k: (-math.comb(n, k), k))
     results: dict[int, tuple[int | None, int | None]] = {}
 
-    def visit(idx: int, basis: BitBasis, best: tuple[int, int] | None, mask: int) -> None:
+    def visit(idx: int, basis: BitBasis, lowest: tuple[int, int] | None, group: list[int]) -> None:
         if idx == len(order):
-            if best is None:
-                results[mask] = (None, None)
+            if lowest is None:
+                results[group[0]] = (None, None)
             else:
-                results[mask] = (best[0], dense.permuted_rank_to_anf_bits(n, best[1]))
+                pivot, row = lowest
+                anf_bits = dense.permuted_rank_to_anf_bits(n, row)
+                results[group[0]] = (int(deg_by_rank[pivot]), anf_bits)
             return
         k = order[idx]
-        visit(idx + 1, basis, best, mask)
-        grown = basis.copy()
-        new_best = best
-        for vec in _class_delta_echelon(n, k):
-            pivot, reduced, _ = grown.insert(vec)
-            if pivot is not None:
-                d = int(deg_by_rank[pivot])
-                if new_best is None or d < new_best[0]:
-                    new_best = (d, reduced)
-        visit(idx + 1, grown, new_best, mask | (1 << k))
+        inside = [m for m in group if m >> k & 1]
+        outside = [m for m in group if not m >> k & 1]
+        if inside:
+            grown = basis.copy() if outside else basis
+            grown_lowest = lowest
+            for vec in _class_delta_echelon(n, k):
+                pivot, row, _ = grown.insert(vec)
+                if pivot is not None and (grown_lowest is None or pivot < grown_lowest[0]):
+                    grown_lowest = (pivot, row)
+            visit(idx + 1, grown, grown_lowest, inside)
+        if outside:
+            visit(idx + 1, basis, lowest, outside)
 
-    visit(0, BitBasis(), None, 0)
+    visit(0, BitBasis(), None, list(masks))
     return results
-
-
-def _class_size(n: int, k: int) -> int:
-    size = 1
-    for i in range(k):
-        size = size * (n - i) // (i + 1)
-    return size
-
-
-def _full_mask(n: int) -> int:
-    return (1 << (n + 1)) - 1
 
 
 def ai_symmetric(f: Sanfv) -> tuple[int, tuple[int, ...]]:
@@ -199,21 +202,25 @@ def ai_symmetric(f: Sanfv) -> tuple[int, tuple[int, ...]]:
     preferred on ties).
     """
     _check_exact_n(f.n)
-    v = to_values(f).bits
-    value, witness_bits = _ai_from_values(f.n, v)
-    _verify_annihilator(f.n, v, witness_bits)
-    return value, anf_bits_to_monomials(witness_bits)
+    return _ai_with_witness(f.n, to_values(f).bits, functools.partial(_zero_span_min_degree, f.n))
 
 
-def _ai_from_values(n: int, value_bits: int) -> tuple[int, int]:
-    zeros_of_f = _full_mask(n) ^ value_bits
-    d_f, w_f = _zero_span_min_degree(n, zeros_of_f)
-    d_fc, w_fc = _zero_span_min_degree(n, value_bits)
+def _ai_with_witness(n: int, value_bits: int, zero_set_degree) -> tuple[int, tuple[int, ...]]:
+    """AI and verified annihilator of the symmetric function with these values.
+
+    zero_set_degree maps a class mask to (degree, anf_bits) as
+    _zero_span_min_degree does.  f is preferred over f+1 on ties.
+    """
+    d_f, w_f = zero_set_degree(((1 << (n + 1)) - 1) ^ value_bits)
+    d_fc, w_fc = zero_set_degree(value_bits)
     if d_f is None and d_fc is None:
         raise InvariantViolation("no annihilator on either side")
     if d_fc is None or (d_f is not None and d_f <= d_fc):
-        return d_f, w_f
-    return d_fc, w_fc
+        value, witness_bits = d_f, w_f
+    else:
+        value, witness_bits = d_fc, w_fc
+    _verify_annihilator(n, value_bits, witness_bits)
+    return value, anf_bits_to_monomials(witness_bits)
 
 
 def _verify_annihilator(n: int, value_bits: int, anf_bits: int) -> None:
@@ -326,19 +333,11 @@ def fai_given_ai(n: int, value_bits: int, ai_value: int):
             break  # every later pair is worth at least level + 1
     if best_pair is None:
         return best, None, True
-    g_bits = _comb_to_anf_bits(n, best_pair[0])
+    g_bits = dense.permuted_rank_to_anf_bits(n, best_pair[0])
     h_bits = dense.permuted_rank_to_anf_bits(n, best_pair[1])
     _verify_pair(n, value_bits, g_bits, h_bits, best)
     witness = (anf_bits_to_monomials(g_bits), anf_bits_to_monomials(h_bits))
     return best, witness, best == cap
-
-
-def _comb_to_anf_bits(n: int, comb: int) -> int:
-    monomials = dense.monomials_graded(n)
-    bits = 0
-    for idx in iter_bits(comb):
-        bits |= 1 << monomials[idx]
-    return bits
 
 
 def _verify_pair(n: int, value_bits: int, g_bits: int, h_bits: int, value: int) -> None:
@@ -354,17 +353,25 @@ def _verify_pair(n: int, value_bits: int, g_bits: int, h_bits: int, value: int) 
 
 def fai(f: Sanfv) -> tuple[int, tuple[tuple[int, ...], tuple[int, ...]] | None]:
     """Fast algebraic immunity with a witness pair where one exists."""
-    _check_exact_n(f.n)
-    ai_value, _ = ai_symmetric(f)
-    value, witness, _ = fai_given_ai(f.n, to_values(f).bits, ai_value)
-    return value, witness
+    p = profile(f)
+    return p.fai, p.fai_witness
 
 
 def profile(f: Sanfv) -> ImmunityProfile:
     """Full immunity profile of a symmetric function."""
     _check_exact_n(f.n)
-    ai_value, ai_witness = ai_symmetric(f)
-    value, witness, capped = fai_given_ai(f.n, to_values(f).bits, ai_value)
+    return profile_from_zero_sets(f, functools.partial(_zero_span_min_degree, f.n))
+
+
+def profile_from_zero_sets(f: Sanfv, zero_set_degree) -> ImmunityProfile:
+    """Profile of f with its AI read from zero_set_degree (see _ai_with_witness).
+
+    The single path behind profile() and the census: the AI witness is
+    verified, then the FAI scan runs from that AI.
+    """
+    v = to_values(f).bits
+    ai_value, ai_witness = _ai_with_witness(f.n, v, zero_set_degree)
+    value, witness, capped = fai_given_ai(f.n, v, ai_value)
     return ImmunityProfile(
         f=f,
         deg=f.degree(),

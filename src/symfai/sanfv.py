@@ -213,23 +213,15 @@ def add(f: Sanfv, g: Sanfv) -> Sanfv:
 
 
 def mul(f: Sanfv, g: Sanfv) -> Sanfv:
-    """Pointwise product: OR-convolution of SANFVs.
+    """Pointwise product, the OR-convolution of SANFVs.
 
     sigma_i * sigma_j = sigma_{i|j}, truncated by sigma_k = 0 for k > n.
-    With that truncation the result is exactly the pointwise product, and
-    mul(f, f) = f.
+    With that truncation the result is exactly the pointwise product, so it
+    is computed as the AND of the value vectors, and mul(f, f) = f.
     """
     if f.n != g.n:
         raise ValueError(f"variable counts differ: {f.n} vs {g.n}")
-    n = f.n
-    out = 0
-    g_indices = tuple(iter_bits(g.bits))
-    for i in iter_bits(f.bits):
-        for j in g_indices:
-            k = i | j
-            if k <= n:
-                out ^= 1 << k
-    return Sanfv(n, out)
+    return to_sanfv(WeightValueVector(f.n, to_values(f).bits & to_values(g).bits))
 
 
 def sigma_product_binomial(i: int, j: int, n: int) -> Sanfv:

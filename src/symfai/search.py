@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from . import immunity
 from .attacks import bound_suite
 from .errors import CapabilityError
-from .immunity import ImmunityProfile, anf_bits_to_monomials, fai_given_ai
-from .sanfv import Sanfv, to_values
+from .immunity import ImmunityProfile
+from .sanfv import Sanfv
 
 MAX_SEARCH_N = 10
 
@@ -58,8 +58,7 @@ def profile_all(n: int, budget_seconds: float | None = None) -> SearchReport:
         return cached
 
     start = time.monotonic()
-    degree_map = immunity.all_zero_set_degrees(n)
-    full = (1 << (n + 1)) - 1
+    zero_set_degree = immunity.all_zero_set_degrees(n).__getitem__
     profiles = []
     violations = []
     max_fai = -1
@@ -72,33 +71,17 @@ def profile_all(n: int, budget_seconds: float | None = None) -> SearchReport:
             if time.monotonic() - start > budget_seconds:
                 raise CapabilityError(f"search budget of {budget_seconds}s exceeded at n={n}")
         f = Sanfv(n, lam)
-        v = to_values(f).bits
-        d_f, w_f = degree_map[full ^ v]
-        d_fc, w_fc = degree_map[v]
-        if d_fc is None or (d_f is not None and d_f <= d_fc):
-            ai_value, witness_bits = d_f, w_f
-        else:
-            ai_value, witness_bits = d_fc, w_fc
-        fai_value, fai_witness, capped = fai_given_ai(n, v, ai_value)
-        p = ImmunityProfile(
-            f=f,
-            deg=f.degree(),
-            ai=ai_value,
-            ai_witness=anf_bits_to_monomials(witness_bits),
-            fai=fai_value,
-            fai_witness=fai_witness,
-            capped=capped,
-        )
+        p = immunity.profile_from_zero_sets(f, zero_set_degree)
         profiles.append(p)
         report = bound_suite(p)
         for failure in report.failures():
             violations.append(f"{f.to_string()}: {failure.name}: {failure.detail}")
-        if fai_value > max_fai:
-            max_fai = fai_value
+        if p.fai > max_fai:
+            max_fai = p.fai
             max_fai_witnesses = [f.to_string()]
-        elif fai_value == max_fai:
+        elif p.fai == max_fai:
             max_fai_witnesses.append(f.to_string())
-        if ai_value == mai_target:
+        if p.ai == mai_target:
             mai_list.append(f.to_string())
 
     result = SearchReport(

@@ -109,6 +109,12 @@ def test_parse_errors_exit_2():
     assert code == 2  # even n
 
 
+def test_csv_format_rejected_by_parser():
+    with pytest.raises(SystemExit) as info:
+        run_cli(["analyze", "--n", "5", "--f", "majority", "--format", "csv"])
+    assert info.value.code == 2
+
+
 def test_capability_errors_exit_3():
     code, _, err = run_cli(["analyze", "--n", "20", "--f", "sigma:4"])
     assert code == 3 and "capability" in err

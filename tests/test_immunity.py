@@ -6,7 +6,7 @@ import pytest
 
 import symfai as s
 from symfai.errors import CapabilityError
-from symfai.immunity import all_zero_set_degrees
+from symfai.immunity import _zero_span_min_degree, all_zero_set_degrees
 from symfai.search import profile_all
 
 from conftest import fai_brute, random_sanfv
@@ -51,6 +51,8 @@ def test_bulk_degree_map_matches_single_route():
         for bits in range(1 << (n + 1)):
             f = s.Sanfv(n, bits)
             assert s.ai_symmetric(f)[0] == profile_for(bulk, f)
+        for mask in range(1 << (n + 1)):
+            assert bulk[mask] == _zero_span_min_degree(n, mask), (n, mask)
 
 
 def profile_for(bulk, f):

@@ -155,6 +155,24 @@ def test_mul_is_pointwise_and_on_value_vectors(rng):
         assert s.to_values(s.mul(f, g)).bits == s.to_values(f).bits & s.to_values(g).bits
 
 
+@pytest.mark.parametrize("n", [4097, 65535])
+def test_mul_at_large_n_idempotent_and_or_rule(n):
+    rng = random.Random(n)
+    for _ in range(3):
+        f = s.Sanfv(n, rng.getrandbits(n + 1))
+        assert s.mul(f, f) == f
+    for _ in range(40):
+        f_terms = rng.sample(range(n + 1), rng.randint(1, 8))
+        g_terms = rng.sample(range(n + 1), rng.randint(1, 8))
+        expected = 0
+        for i in f_terms:
+            for j in g_terms:
+                if i | j <= n:
+                    expected ^= 1 << (i | j)
+        product = s.mul(s.Sanfv.from_indices(n, f_terms), s.Sanfv.from_indices(n, g_terms))
+        assert product.bits == expected
+
+
 def test_ring_laws(rng):
     for _ in range(60):
         n = rng.randrange(2, 17)

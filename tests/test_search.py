@@ -5,7 +5,7 @@ import json
 import pytest
 
 import symfai as s
-from symfai.errors import CapabilityError
+from symfai.errors import CapabilityError, InvariantViolation
 from symfai.search import profile_all, tables_csv, write_profiles_jsonl
 
 
@@ -54,6 +54,25 @@ def test_profile_all_limits():
     _reports.pop(1, None)
     with pytest.raises(CapabilityError):
         profile_all(1, budget_seconds=-1.0)
+
+
+def test_profile_matches_census_entry():
+    for n in range(1, 9):
+        for p in profile_all(n).profiles:
+            assert s.profile(p.f).to_json_dict() == p.to_json_dict(), p.f.to_string()
+
+
+def test_profile_all_verifies_every_ai_witness(monkeypatch):
+    from symfai import immunity
+    from symfai.search import _reports
+
+    def reject(n, value_bits, anf_bits):
+        raise InvariantViolation("rejected")
+
+    monkeypatch.setattr(immunity, "_verify_annihilator", reject)
+    monkeypatch.delitem(_reports, 3, raising=False)
+    with pytest.raises(InvariantViolation):
+        profile_all(3)
 
 
 def test_find_symmetric_mai_9():
