@@ -155,7 +155,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except CapabilityError as exc:

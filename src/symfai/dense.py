@@ -177,6 +177,7 @@ def permuted_anf_int(n: int, anf_bits: int) -> int:
 
 
 def permuted_rank_to_anf_bits(n: int, ranked: int) -> int:
+    """Inverse of permuted_anf_int: graded coordinates back to ANF coefficient bits."""
     masks = _rank_tables(n)[1]
     bits = 0
     for r in iter_bits(ranked):
@@ -222,14 +223,10 @@ def min_annihilator_degree(f: DenseBooleanFunction) -> tuple[int | None, DenseAn
     n = f.n
     tables = _monomial_tables(n)
     basis = BitBasis(track=True)
-    monomials = monomials_graded(n)
-    for rank, mask in enumerate(monomials):
+    for mask in monomials_graded(n):
         pivot, _, comb = basis.insert(tables.truth_table(mask) & f.bits)
         if pivot is None:
-            anf_bits = 0
-            for idx in iter_bits(comb):
-                anf_bits |= 1 << monomials[idx]
-            witness = DenseAnf(n, anf_bits)
+            witness = DenseAnf(n, permuted_rank_to_anf_bits(n, comb))
             d = mask.bit_count()
             _check_annihilator(f, witness, d)
             return d, witness
@@ -376,17 +373,9 @@ def _kernel_combinations(cols: list[int], shift: int):
             yield comb
 
 
-def _comb_to_anf(n: int, comb: int) -> DenseAnf:
-    monomials = monomials_graded(n)
-    bits = 0
-    for idx in iter_bits(comb):
-        bits |= 1 << monomials[idx]
-    return DenseAnf(n, bits)
-
-
 def _first_nonconstant_annihilator(f: DenseBooleanFunction, cols: list[int]) -> DenseAnf:
     for comb in _kernel_combinations(cols, 0):
-        g = _comb_to_anf(f.n, comb)
+        g = DenseAnf(f.n, permuted_rank_to_anf_bits(f.n, comb))
         if g.bits != 1:
             if anf_to_table(g).bits & f.bits:
                 raise InvariantViolation("kernel element is not an annihilator")
@@ -402,7 +391,7 @@ def _extract_multiplier_witness(
     constant_solution = False
     annihilator: DenseAnf | None = None
     for comb in _kernel_combinations(cols, cut):
-        g = _comb_to_anf(n, comb)
+        g = DenseAnf(n, permuted_rank_to_anf_bits(n, comb))
         h_tt = anf_to_table(g).bits & f.bits
         if h_tt == 0:
             annihilator = annihilator or g

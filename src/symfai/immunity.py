@@ -9,8 +9,9 @@ The fast paths here exploit that a symmetric f is constant on each weight
 class:
 
 * Annihilators of f are exactly the functions supported inside the zero set
-  of f, which is a union of weight classes.  The ANF span of each class's
-  point indicators is echelonized once per (n, class).  One class sweep
+  of f, which is a union of weight classes.  The ANF of a point indicator
+  delta_x is the set of monomials containing x; the span of each class's
+  indicators is echelonized once per (n, class).  One class sweep
   merges these echelons for any set of class unions: the single union of
   one function, or all 2^(n+1) unions for the census.  With coordinates in
   graded order the minimum reachable degree is the degree of the lowest
@@ -21,7 +22,11 @@ class:
   order; each new echelon pivot at coordinate degree dd, reached while
   inserting a degree-e monomial, witnesses a pair value e + dd, and the
   minimum over all of them is the searched inner minimum for every e at
-  once.
+  once.  Each product column has a closed form: for a degree-j monomial
+  m, a degree-t monomial M has coefficient 0 in m*f unless M contains m,
+  and otherwise the XOR over the support classes k of f of C(t-j, k-j)
+  mod 2, which by Lucas is 1 exactly when k-j is a bit-submask of t-j.
+  So no truth table is built or transformed for the scan.
 
 The dense oracle performs the same computations from raw truth tables and
 is used in the test suite to cross-check every result.
@@ -110,28 +115,24 @@ class ImmunityProfile:
 
 
 @functools.lru_cache(maxsize=None)
-def _class_truth_table(n: int, k: int) -> int:
-    pc = dense._popcounts(n)
-    return bit_array_to_int(pc == k)
+def _class_truth_table(n: int, k: int) -> tuple[int, ...]:
+    """Superset rows of the weight-k masks x, in graded order.
+
+    Row x has graded bit r set iff monomial r contains x.  It is at once
+    the ANF of the point indicator delta_x and the truth table of the
+    monomial x, both in graded coordinates.
+    """
+    masks = dense._rank_tables(n)[0]
+    lo = dense.monomial_count_through_degree(n, k - 1)
+    hi = dense.monomial_count_through_degree(n, k)
+    return tuple(bit_array_to_int(masks & x == x) for x in masks[lo:hi].tolist())
 
 
 @functools.lru_cache(maxsize=None)
 def _class_delta_echelon(n: int, k: int) -> tuple[int, ...]:
-    """Echelonized ANF span of the weight-k point indicators, graded coordinates.
-
-    The ANF of a point indicator delta_x has coefficient 1 exactly on the
-    monomial masks containing x, which is the same bit pattern as the truth
-    table of the monomial x.
-    """
-    tables = dense._monomial_tables(n)
+    """Echelonized ANF span of the weight-k point indicators, graded coordinates."""
     basis = BitBasis()
-    vectors = []
-    for x in range(1 << n):
-        if x.bit_count() == k:
-            pivot, reduced, _ = basis.insert(dense.permuted_anf_int(n, tables.truth_table(x)))
-            if pivot is not None:
-                vectors.append(reduced)
-    return tuple(vectors)
+    return tuple(basis.insert(row)[1] for row in _class_truth_table(n, k))
 
 
 @functools.lru_cache(maxsize=1 << 16)
@@ -241,36 +242,35 @@ def _verify_annihilator(n: int, value_bits: int, anf_bits: int) -> None:
 
 @functools.lru_cache(maxsize=None)
 def _class_product_pieces(n: int) -> tuple[tuple[int, ...], ...]:
-    """Graded-coordinate ANF of (monomial * class indicator), per monomial and class.
+    """Graded degree-layer masks of (degree-j monomial * class-k indicator).
 
-    Indexed [monomial rank][class k] for monomials of degree up to
-    ceil(n/2) - 1, the largest cap FAI can ever ask for.  Since a symmetric
-    f is the disjoint union of its support classes, the product column for
-    (monomial, f) is the XOR of these pieces over the support classes.
+    Entry [j][k] holds every layer t with (k - j) a bit-submask of (t - j):
+    by Lucas, that is when C(t - j, k - j) is odd, which is the coefficient
+    of each degree-t monomial containing m in m * [weight = k].  Since a
+    symmetric f is the disjoint union of its support classes, the product
+    column of m is m's superset row masked by the XOR of these entries.
     """
-    tables = dense._monomial_tables(n)
-    max_level = (n + 1) // 2 - 1
-    count = dense.monomial_count_through_degree(n, max_level)
-    pieces = []
-    for mask in dense.monomials_graded(n)[:count]:
-        tt = tables.truth_table(mask)
-        row = tuple(
-            dense.permuted_anf_int(n, subset_xor_transform(tt & _class_truth_table(n, k), n))
+    count = [dense.monomial_count_through_degree(n, t) for t in range(-1, n + 1)]
+    layers = [(1 << count[t + 1]) - (1 << count[t]) for t in range(n + 1)]
+    return tuple(
+        tuple(
+            sum(layers[t] for t in range(k, n + 1) if k >= j and (t - j) & (k - j) == k - j)
             for k in range(n + 1)
         )
-        pieces.append(row)
-    return tuple(pieces)
+        for j in range(n + 1)
+    )
 
 
-def _product_columns(n: int, value_bits: int, count: int):
+def _product_columns(n: int, value_bits: int, max_level: int):
+    """Graded ANF of m * f for every monomial m of degree <= max_level, in graded order."""
     pieces = _class_product_pieces(n)
     classes = tuple(iter_bits(value_bits))
-    for rank in range(count):
-        row = pieces[rank]
-        vec = 0
+    for j in range(max_level + 1):
+        mask = 0
         for k in classes:
-            vec ^= row[k]
-        yield vec
+            mask ^= pieces[j][k]
+        for row in _class_truth_table(n, j):
+            yield row & mask
 
 
 def _multiplier_scan(n: int, value_bits: int, max_level: int):
@@ -282,9 +282,8 @@ def _multiplier_scan(n: int, value_bits: int, max_level: int):
     """
     deg_by_rank = dense.rank_degrees(n)
     monomials = dense.monomials_graded(n)
-    count = dense.monomial_count_through_degree(n, max_level)
     basis = BitBasis(track=True)
-    for rank, vec in enumerate(_product_columns(n, value_bits, count)):
+    for rank, vec in enumerate(_product_columns(n, value_bits, max_level)):
         pivot, reduced, comb = basis.insert(vec)
         if pivot is None:
             raise InvariantViolation(

@@ -144,6 +144,12 @@ def test_out_file_matches_stdout(tmp_path):
     assert path.read_text() == out
 
 
+@pytest.mark.parametrize("argv", [["analyze", "--n", "5", "--f", "majority"], ["search", "--n", "3"]])
+def test_unwritable_out_path_exits_2(tmp_path, argv):
+    code, out, err = run_cli([*argv, "--out", str(tmp_path / "missing" / "x.json")])
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
 def test_cross_process_determinism(tmp_path):
     import subprocess
     import sys

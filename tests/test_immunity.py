@@ -5,8 +5,14 @@ import json
 import pytest
 
 import symfai as s
+from symfai import dense
 from symfai.errors import CapabilityError
-from symfai.immunity import _zero_span_min_degree, all_zero_set_degrees
+from symfai.immunity import (
+    _class_truth_table,
+    _product_columns,
+    _zero_span_min_degree,
+    all_zero_set_degrees,
+)
 from symfai.search import profile_all
 
 from conftest import fai_brute, random_sanfv
@@ -97,6 +103,25 @@ def test_fai_agreement_exhaustive_9_10():
     for n in (9, 10):
         for p in profile_all(n).profiles:
             assert (p.ai, p.fai) == fai_brute(p.f), p.f.to_string()
+
+
+def test_product_columns_match_truth_table_route(rng):
+    # the Lucas closed form against the dense oracle's transformed truth tables
+    cases = [(n, v) for n in range(1, 9) for v in range(1 << (n + 1))]
+    cases += [(n, rng.getrandbits(n + 1)) for n in range(9, 13) for _ in range(3)]
+    for n, v in cases:
+        level = (n + 1) // 2 - 1
+        expected = dense._ranked_product_columns(s.dense_from_values(s.WeightValueVector(n, v)), level)
+        assert list(_product_columns(n, v, level)) == expected, (n, v)
+
+
+def test_superset_rows_match_monomial_truth_tables():
+    for n in range(1, 11):
+        tables = dense._monomial_tables(n)
+        for k in range(n + 1):
+            masks = [x for x in dense.monomials_graded(n) if x.bit_count() == k]
+            expected = [dense.permuted_anf_int(n, tables.truth_table(x)) for x in masks]
+            assert list(_class_truth_table(n, k)) == expected, (n, k)
 
 
 def test_min_product_degree_examples():
