@@ -5,31 +5,49 @@ min over nonconstant g with deg(g) < AI(f) of deg(g) + deg(g*f), capped
 above by 2*AI(f); when AI(f) <= 1 the quantifier range is empty and the cap
 is the value.  Both quantify over ALL Boolean g, not just symmetric ones.
 
-The fast paths here exploit that a symmetric f is constant on each weight
-class:
+Both scans nevertheless run over the functions invariant under a Sylow
+2-subgroup P of S_n.  Since f is symmetric, S_n leaves invariant the
+annihilators of f of degree <= d and the spaces V(e, d) = {g : deg(g) <= e,
+deg(g*f) <= d}.  A finite 2-group acting on a nonzero GF(2) space fixes a
+nonzero vector (the p-group fixed-point lemma), so each of these spaces is
+nonzero iff it holds a nonzero P-invariant g.  The constant g = 1 is kept
+out through W = {g in V(e, d) : g(0) = 0}: W is S_n-invariant, g + g(0) is
+in W for every nonconstant g in V(e, d) when 1 is, and every nonzero element
+of W is nonconstant.  So every existence question the scans ask is answered
+by a P-invariant g.  Such a g has ANF coefficients constant on the P-orbits
+of monomials, and those orbits in graded order (degree, then least member)
+are the coordinates: 378 at n = 14 instead of 2^14 monomials.  P is the
+product, over the set bits 2^i of n, of the iterated wreath product
+C2 wr ... wr C2 acting on a block of 2^i consecutive variables.
 
 * Annihilators of f are exactly the functions supported inside the zero set
-  of f, which is a union of weight classes.  The ANF of a point indicator
-  delta_x is the set of monomials containing x; the span of each class's
-  indicators is echelonized once per (n, class).  One class sweep
-  merges these echelons for any set of class unions: the single union of
-  one function, or all 2^(n+1) unions for the census.  With coordinates in
-  graded order the minimum reachable degree is the degree of the lowest
-  pivot, and the annihilator reported is the one whose leading monomial is
-  least in graded order; exactly one annihilator has that leading
-  monomial, so the witness does not depend on how the span was built.
-* For FAI, the map g -> g*f is scanned monomial by monomial in graded
+  of f, which is a union of weight classes and so of P-orbits of points.
+  The ANF of an orbit indicator 1_O has coefficient #{x in O : x within M}
+  mod 2 at monomial M, which is constant on the orbit of M; the span of
+  each class's orbit indicators is echelonized once per (n, class).  One
+  class sweep merges these echelons for any set of class unions: the
+  single union of one function, or all 2^(n+1) unions for the census.  With
+  graded coordinates the minimum reachable degree is the degree of the
+  lowest pivot, and the annihilator reported is the P-invariant one whose
+  leading orbit is least; exactly one has that leading orbit, so the
+  witness does not depend on how the span was built.
+* For FAI, the map g -> g*f is scanned orbit sum by orbit sum in graded
   order; each new echelon pivot at coordinate degree dd, reached while
-  inserting a degree-e monomial, witnesses a pair value e + dd, and the
-  minimum over all of them is the searched inner minimum for every e at
+  inserting a sum of degree-e monomials, witnesses a pair value e + dd, and
+  the minimum over all of them is the searched inner minimum for every e at
   once.  Each product column has a closed form: for a degree-j monomial
   m, a degree-t monomial M has coefficient 0 in m*f unless M contains m,
   and otherwise the XOR over the support classes k of f of C(t-j, k-j)
   mod 2, which by Lucas is 1 exactly when k-j is a bit-submask of t-j.
-  So no truth table is built or transformed for the scan.
+  Summed over an orbit O, the column of the orbit sum S_O is the row of O
+  masked by those degree layers.  So no truth table is built or
+  transformed for the scan.
 
-The dense oracle performs the same computations from raw truth tables and
-is used in the test suite to cross-check every result.
+Witnesses are found as orbit-coordinate vectors and expanded to monomial
+masks only at the end, then re-checked on 2^n-point truth tables, a route
+that shares nothing with the scans.  The dense oracle performs the same
+computations over all g from raw truth tables and is used in the test
+suite to cross-check every result.
 """
 
 from __future__ import annotations
@@ -38,9 +56,11 @@ import functools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import dense
 from .errors import CapabilityError, InvariantViolation
-from .gf2 import BitBasis, bit_array_to_int, iter_bits, subset_xor_transform
+from .gf2 import BitBasis, bit_array_to_int, int_to_bit_array, iter_bits, subset_xor_transform
 from .sanfv import Sanfv, WeightValueVector, to_values
 
 MAX_EXACT_N = dense.MAX_DENSE_N
@@ -69,12 +89,14 @@ def _monomials_to_json(masks: tuple[int, ...]) -> list[list[int]]:
 class ImmunityProfile:
     """Per-function record: degree, AI with annihilator, FAI with multiplier pair.
 
-    ai_witness comes from the weight-class sweep and annihilates f, or f+1
-    when that side has strictly lower degree.  Among the annihilators of
-    that side it is the one whose leading monomial (degree, then mask value)
-    is least; no other annihilator has the same leading monomial.
-    fai_witness is (g, g*f) for the first pair of the graded multiplier scan
-    that attains the FAI, or None when no pair beats the 2*AI cap.
+    Both witnesses are invariant under the Sylow 2-subgroup P of S_n that
+    the scans work over (see the module docstring).  ai_witness comes from
+    the weight-class sweep and annihilates f, or f+1 when that side has
+    strictly lower degree.  Among the P-invariant annihilators of that side
+    it is the one whose leading orbit (degree, then least member) is least;
+    no other has the same leading orbit.  fai_witness is (g, g*f) for the
+    first pair of the orbit-graded multiplier scan that attains the FAI, or
+    None when no pair beats the 2*AI cap.
     """
 
     f: Sanfv
@@ -110,27 +132,120 @@ class ImmunityProfile:
 
 
 # ---------------------------------------------------------------------------
+# coordinates: orbits of monomials under a Sylow 2-subgroup P of S_n
+# ---------------------------------------------------------------------------
+
+
+def _recent_n_cache(build):
+    """Memoize build(n, *args), keeping the entries of the two most recent n.
+
+    The per-n tables grow with n, so a process that analyses several n
+    holds at most two n's worth of them.  held_n() lists the n held, least
+    recently used first.
+    """
+    held: dict[int, dict] = {}
+
+    @functools.wraps(build)
+    def cached(n: int, *args):
+        entries = held.pop(n, {})
+        held[n] = entries
+        if len(held) > 2:
+            del held[next(iter(held))]
+        if args not in entries:
+            entries[args] = build(n, *args)
+        return entries[args]
+
+    cached.held_n = lambda: tuple(held)
+    return cached
+
+
+def _block_canon(level: int) -> np.ndarray:
+    """Least orbit member of every subset of a block of 2^level variables.
+
+    The block's group C2 wr ... wr C2 acts on each half by the group one
+    level down and swaps the halves, so the least member of an orbit puts
+    the larger of the halves' least members low and the smaller one high.
+    """
+    canon = np.arange(2, dtype=np.int64)
+    for width in (1 << i for i in range(level)):
+        subsets = np.arange(1 << (2 * width), dtype=np.int64)
+        lo = canon[subsets & ((1 << width) - 1)]
+        hi = canon[subsets >> width]
+        canon = np.maximum(lo, hi) | np.minimum(lo, hi) << width
+    return canon
+
+
+@dataclass(frozen=True, eq=False)
+class _Orbits:
+    """The P-orbits of the monomial masks on n variables, in graded order.
+
+    reps[r] is the least member of orbit r and degree[r] its degree;
+    start[t] is the first rank of degree t, so start[n + 1] counts the
+    orbits; rank[x] is the rank of the orbit that holds mask x.
+    """
+
+    reps: np.ndarray
+    degree: tuple[int, ...]
+    start: tuple[int, ...]
+    rank: np.ndarray
+
+    def expand(self, vec: int) -> int:
+        """ANF coefficient bits (one per monomial mask) of an orbit-coordinate vector."""
+        return bit_array_to_int(int_to_bit_array(vec, len(self.reps))[self.rank])
+
+
+@_recent_n_cache
+def _orbits(n: int) -> _Orbits:
+    """Orbits of P, the product over the set bits 2^i of n of C2 wr ... wr C2.
+
+    Each factor acts on its own block of 2^i consecutive variables (smallest
+    block lowest), so the least member of an orbit is the least member of
+    each block's part, found by one table lookup per block.
+    """
+    masks = np.arange(1 << n, dtype=np.int64)
+    least = np.zeros_like(masks)
+    shift = 0
+    for level in range(n.bit_length()):
+        if n >> level & 1:
+            width = 1 << level
+            least |= _block_canon(level)[masks >> shift & ((1 << width) - 1)] << shift
+            shift += width
+    reps = np.flatnonzero(least == masks)
+    degrees = np.bitwise_count(reps)
+    order = np.lexsort((reps, degrees))
+    reps, degrees = reps[order], degrees[order]
+    rank = np.zeros(1 << n, dtype=np.int64)
+    rank[reps] = np.arange(len(reps))
+    start = np.searchsorted(degrees, np.arange(n + 2))
+    return _Orbits(reps, tuple(degrees.tolist()), tuple(start.tolist()), rank[least])
+
+
+# ---------------------------------------------------------------------------
 # annihilator side: minimum degree over a union of weight classes
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
+@_recent_n_cache
 def _class_truth_table(n: int, k: int) -> tuple[int, ...]:
-    """Superset rows of the weight-k masks x, in graded order.
+    """Orbit-coordinate rows of the weight-k point orbits O, in graded order.
 
-    Row x has graded bit r set iff monomial r contains x.  It is at once
-    the ANF of the point indicator delta_x and the truth table of the
-    monomial x, both in graded coordinates.
+    Row O has bit r set iff an odd number of the points of O lie within the
+    monomial reps[r].  It is at once the ANF of the orbit indicator 1_O and
+    the truth table of the orbit sum S_O of the monomials in O, both read
+    in orbit coordinates.
     """
-    masks = dense._rank_tables(n)[0]
-    lo = dense.monomial_count_through_degree(n, k - 1)
-    hi = dense.monomial_count_through_degree(n, k)
-    return tuple(bit_array_to_int(masks & x == x) for x in masks[lo:hi].tolist())
+    orbits = _orbits(n)
+    lo, hi = orbits.start[k], orbits.start[k + 1]
+    points = np.flatnonzero((orbits.rank >= lo) & (orbits.rank < hi))
+    points = points[np.argsort(orbits.rank[points], kind="stable")]
+    first = np.searchsorted(orbits.rank[points], np.arange(lo, hi))
+    within = (points[:, None] & orbits.reps) == points[:, None]
+    return tuple(bit_array_to_int(row) for row in np.bitwise_xor.reduceat(within, first, axis=0))
 
 
-@functools.lru_cache(maxsize=None)
+@_recent_n_cache
 def _class_delta_echelon(n: int, k: int) -> tuple[int, ...]:
-    """Echelonized ANF span of the weight-k point indicators, graded coordinates."""
+    """Echelonized ANF span of the weight-k orbit indicators, orbit coordinates."""
     basis = BitBasis()
     return tuple(basis.insert(row)[1] for row in _class_truth_table(n, k))
 
@@ -139,8 +254,8 @@ def _class_delta_echelon(n: int, k: int) -> tuple[int, ...]:
 def _zero_span_min_degree(n: int, class_mask: int) -> tuple[int | None, int | None]:
     """Minimum degree of a nonzero function supported on the given weight classes.
 
-    Returns (degree, anf_bits) of the witness chosen by _class_sweep, or
-    (None, None) when the class set is empty.
+    Returns (degree, orbit-coordinate vector) of the witness chosen by
+    _class_sweep, or (None, None) when the class set is empty.
     """
     return _class_sweep(n, (class_mask,))[class_mask]
 
@@ -165,7 +280,7 @@ def _class_sweep(n: int, masks) -> dict[int, tuple[int | None, int | None]]:
     nonzero vector of the span with that leading coordinate, so it does not
     depend on the order in which the classes were inserted.
     """
-    deg_by_rank = dense.rank_degrees(n)
+    degree = _orbits(n).degree
     order = sorted(range(n + 1), key=lambda k: (-math.comb(n, k), k))
     results: dict[int, tuple[int | None, int | None]] = {}
 
@@ -175,8 +290,7 @@ def _class_sweep(n: int, masks) -> dict[int, tuple[int | None, int | None]]:
                 results[group[0]] = (None, None)
             else:
                 pivot, row = lowest
-                anf_bits = dense.permuted_rank_to_anf_bits(n, row)
-                results[group[0]] = (int(deg_by_rank[pivot]), anf_bits)
+                results[group[0]] = (degree[pivot], row)
             return
         k = order[idx]
         inside = [m for m in group if m >> k & 1]
@@ -209,17 +323,18 @@ def ai_symmetric(f: Sanfv) -> tuple[int, tuple[int, ...]]:
 def _ai_with_witness(n: int, value_bits: int, zero_set_degree) -> tuple[int, tuple[int, ...]]:
     """AI and verified annihilator of the symmetric function with these values.
 
-    zero_set_degree maps a class mask to (degree, anf_bits) as
-    _zero_span_min_degree does.  f is preferred over f+1 on ties.
+    zero_set_degree maps a class mask to (degree, orbit-coordinate vector)
+    as _zero_span_min_degree does.  f is preferred over f+1 on ties.
     """
     d_f, w_f = zero_set_degree(((1 << (n + 1)) - 1) ^ value_bits)
     d_fc, w_fc = zero_set_degree(value_bits)
     if d_f is None and d_fc is None:
         raise InvariantViolation("no annihilator on either side")
     if d_fc is None or (d_f is not None and d_f <= d_fc):
-        value, witness_bits = d_f, w_f
+        value, witness = d_f, w_f
     else:
-        value, witness_bits = d_fc, w_fc
+        value, witness = d_fc, w_fc
+    witness_bits = _orbits(n).expand(witness)
     _verify_annihilator(n, value_bits, witness_bits)
     return value, anf_bits_to_monomials(witness_bits)
 
@@ -240,18 +355,19 @@ def _verify_annihilator(n: int, value_bits: int, anf_bits: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
+@_recent_n_cache
 def _class_product_pieces(n: int) -> tuple[tuple[int, ...], ...]:
-    """Graded degree-layer masks of (degree-j monomial * class-k indicator).
+    """Orbit-coordinate degree-layer masks of (degree-j monomial * class-k indicator).
 
-    Entry [j][k] holds every layer t with (k - j) a bit-submask of (t - j):
-    by Lucas, that is when C(t - j, k - j) is odd, which is the coefficient
-    of each degree-t monomial containing m in m * [weight = k].  Since a
-    symmetric f is the disjoint union of its support classes, the product
-    column of m is m's superset row masked by the XOR of these entries.
+    Entry [j][k] holds every layer t (the orbits of degree t) with (k - j)
+    a bit-submask of (t - j): by Lucas, that is when C(t - j, k - j) is
+    odd, which is the coefficient of each degree-t monomial containing m in
+    m * [weight = k].  Since a symmetric f is the disjoint union of its
+    support classes, the product column of a degree-j orbit sum is its row
+    masked by the XOR of these entries.
     """
-    count = [dense.monomial_count_through_degree(n, t) for t in range(-1, n + 1)]
-    layers = [(1 << count[t + 1]) - (1 << count[t]) for t in range(n + 1)]
+    start = _orbits(n).start
+    layers = [(1 << start[t + 1]) - (1 << start[t]) for t in range(n + 1)]
     return tuple(
         tuple(
             sum(layers[t] for t in range(k, n + 1) if k >= j and (t - j) & (k - j) == k - j)
@@ -262,7 +378,7 @@ def _class_product_pieces(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _product_columns(n: int, value_bits: int, max_level: int):
-    """Graded ANF of m * f for every monomial m of degree <= max_level, in graded order."""
+    """Orbit-coordinate ANF of S * f for every orbit sum S of degree <= max_level, in graded order."""
     pieces = _class_product_pieces(n)
     classes = tuple(iter_bits(value_bits))
     for j in range(max_level + 1):
@@ -276,12 +392,12 @@ def _product_columns(n: int, value_bits: int, max_level: int):
 def _multiplier_scan(n: int, value_bits: int, max_level: int):
     """Insert product columns in graded order, yielding one pivot per column.
 
-    Yields (level, pivot_degree, comb, vec) for every monomial past the
-    constant one.  A dependent column below the AI cap would mean a
-    low-degree annihilator slipped through, so it raises.
+    Yields (level, pivot_degree, comb, vec) for every orbit sum past the
+    constant one; comb is a bit mask over orbit ranks.  A dependent column
+    below the AI cap would mean a low-degree annihilator slipped through,
+    so it raises.
     """
-    deg_by_rank = dense.rank_degrees(n)
-    monomials = dense.monomials_graded(n)
+    degree = _orbits(n).degree
     basis = BitBasis(track=True)
     for rank, vec in enumerate(_product_columns(n, value_bits, max_level)):
         pivot, reduced, comb = basis.insert(vec)
@@ -291,7 +407,7 @@ def _multiplier_scan(n: int, value_bits: int, max_level: int):
             )
         if rank == 0:
             continue  # the constant column: its solution g = 1 is excluded
-        yield monomials[rank].bit_count(), int(deg_by_rank[pivot]), comb, reduced
+        yield degree[rank], degree[pivot], comb, reduced
 
 
 def min_product_degree(f: Sanfv, e: int) -> int:
@@ -332,8 +448,7 @@ def fai_given_ai(n: int, value_bits: int, ai_value: int):
             break  # every later pair is worth at least level + 1
     if best_pair is None:
         return best, None, True
-    g_bits = dense.permuted_rank_to_anf_bits(n, best_pair[0])
-    h_bits = dense.permuted_rank_to_anf_bits(n, best_pair[1])
+    g_bits, h_bits = (_orbits(n).expand(vec) for vec in best_pair)
     _verify_pair(n, value_bits, g_bits, h_bits, best)
     witness = (anf_bits_to_monomials(g_bits), anf_bits_to_monomials(h_bits))
     return best, witness, best == cap

@@ -51,6 +51,7 @@ class Sanfv:
     @classmethod
     def from_string(cls, n: int, text: str) -> "Sanfv":
         """Parse the text form: n+1 characters of '0'/'1', lambda(0) leftmost."""
+        _check_n(n)
         if len(text) != n + 1 or set(text) - {"0", "1"}:
             raise ValueError(f"SANFV string must be {n + 1} chars of 0/1, got {text!r}")
         return cls(n, int(text[::-1], 2))
@@ -107,6 +108,7 @@ class WeightValueVector:
     @classmethod
     def from_string(cls, n: int, text: str) -> "WeightValueVector":
         """Parse the text form, with or without the leading 'v:' prefix."""
+        _check_n(n)
         if text.startswith("v:"):
             text = text[2:]
         if len(text) != n + 1 or set(text) - {"0", "1"}:

@@ -109,6 +109,21 @@ def test_parse_errors_exit_2():
     assert code == 2  # even n
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--f", "1"],
+        ["attack", "--f", "1"],
+        ["convert", "--f", "1"],
+        ["convert", "--f", "v:1"],
+    ],
+)
+def test_nonpositive_n_rejected_before_length_check(argv):
+    code, out, err = run_cli([*argv, "--n", "-3"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: variable count must be a positive integer")
+
+
 def test_csv_format_rejected_by_parser():
     with pytest.raises(SystemExit) as info:
         run_cli(["analyze", "--n", "5", "--f", "majority", "--format", "csv"])

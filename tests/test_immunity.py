@@ -1,14 +1,20 @@
 """Exact AI/FAI of symmetric functions, cross-checked against the dense oracle."""
 
 import json
+import math
+import random
 
+import numpy as np
 import pytest
 
 import symfai as s
 from symfai import dense
 from symfai.errors import CapabilityError
 from symfai.immunity import (
+    _class_delta_echelon,
+    _class_product_pieces,
     _class_truth_table,
+    _orbits,
     _product_columns,
     _zero_span_min_degree,
     all_zero_set_degrees,
@@ -105,23 +111,102 @@ def test_fai_agreement_exhaustive_9_10():
             assert (p.ai, p.fai) == fai_brute(p.f), p.f.to_string()
 
 
+def _orbit_members(n, r):
+    return np.flatnonzero(_orbits(n).rank == r).tolist()
+
+
 def test_product_columns_match_truth_table_route(rng):
-    # the Lucas closed form against the dense oracle's transformed truth tables
+    # the Lucas closed form against the dense oracle's transformed truth
+    # tables: an orbit sum's column is the XOR of its members' columns
     cases = [(n, v) for n in range(1, 9) for v in range(1 << (n + 1))]
     cases += [(n, rng.getrandbits(n + 1)) for n in range(9, 13) for _ in range(3)]
     for n, v in cases:
         level = (n + 1) // 2 - 1
-        expected = dense._ranked_product_columns(s.dense_from_values(s.WeightValueVector(n, v)), level)
-        assert list(_product_columns(n, v, level)) == expected, (n, v)
+        orbits = _orbits(n)
+        graded_rank = {m: r for r, m in enumerate(dense.monomials_graded(n))}
+        dense_columns = dense._ranked_product_columns(s.dense_from_values(s.WeightValueVector(n, v)), level)
+        columns = list(_product_columns(n, v, level))
+        assert len(columns) == orbits.start[level + 1], (n, v)
+        for r, column in enumerate(columns):
+            expected = 0
+            for m in _orbit_members(n, r):
+                expected ^= dense_columns[graded_rank[m]]
+            assert orbits.expand(column) == dense.permuted_rank_to_anf_bits(n, expected), (n, v, r)
 
 
-def test_superset_rows_match_monomial_truth_tables():
+def test_orbit_rows_match_monomial_truth_tables():
+    # an orbit's row is the truth table of the sum of its monomials
     for n in range(1, 11):
         tables = dense._monomial_tables(n)
+        orbits = _orbits(n)
         for k in range(n + 1):
-            masks = [x for x in dense.monomials_graded(n) if x.bit_count() == k]
-            expected = [dense.permuted_anf_int(n, tables.truth_table(x)) for x in masks]
-            assert list(_class_truth_table(n, k)) == expected, (n, k)
+            rows = _class_truth_table(n, k)
+            assert len(rows) == orbits.start[k + 1] - orbits.start[k], (n, k)
+            for r, row in enumerate(rows, start=orbits.start[k]):
+                expected = 0
+                for x in _orbit_members(n, r):
+                    expected ^= tables.truth_table(x)
+                assert orbits.expand(row) == expected, (n, k, r)
+
+
+def _sylow_swaps(n):
+    """Swaps of adjacent sub-blocks inside each binary block of variables; they generate P."""
+    swaps = []
+    offset = 0
+    for level in range(n.bit_length()):
+        if not n >> level & 1:
+            continue
+        for sub in range(level):
+            width = 1 << sub
+            for lo in range(offset, offset + (1 << level), 2 * width):
+                swaps.append((lo, width))
+        offset += 1 << level
+    return swaps
+
+
+def _apply_swap(masks, lo, width):
+    field = ((1 << width) - 1) << lo
+    return masks & ~(field | field << width) | (masks & field) << width | (masks >> width) & field
+
+
+def test_orbit_tables_are_the_sylow_orbits():
+    a = [2]
+    while len(a) < 4:
+        a.append(a[-1] * (a[-1] + 1) // 2)
+    for n in range(1, 15):
+        orbits = _orbits(n)
+        expected = math.prod(a[level] for level in range(n.bit_length()) if n >> level & 1)
+        assert len(orbits.reps) == expected, n
+        masks = np.arange(1 << n)
+        # a partition of all 2^n masks, each orbit led by its least member in graded order
+        assert sorted(set(orbits.rank.tolist())) == list(range(expected)), n
+        assert (orbits.rank[orbits.reps] == np.arange(expected)).all(), n
+        for r, rep in enumerate(orbits.reps.tolist()):
+            assert min(_orbit_members(n, r)) == rep, (n, r)
+        degrees = [rep.bit_count() for rep in orbits.reps.tolist()]
+        assert degrees == sorted(degrees) and tuple(degrees) == orbits.degree, n
+        for lo, width in _sylow_swaps(n):
+            assert (orbits.rank[_apply_swap(masks, lo, width)] == orbits.rank).all(), (n, lo, width)
+    assert len(_orbits(14).reps) == 378
+
+
+def test_fai_matches_dense_oracle_at_11_and_12():
+    # max-AI thresholds plus seeded samples, against the pure-dense pipeline;
+    # a local generator leaves the shared fixture's draws to the other tests
+    rng = random.Random(1112)
+    fs = [s.threshold(11, 6), s.threshold(12, 6), s.threshold(12, 7)]
+    fs += [random_sanfv(rng, n) for n in (11, 12) for _ in range(3)]
+    for f in fs:
+        p = s.profile(f)
+        assert (p.ai, p.fai) == fai_brute(f), f.to_string()
+    assert s.profile(s.threshold(11, 6)).ai == s.profile(s.threshold(12, 6)).ai == 6
+
+
+def test_table_caches_hold_at_most_two_n():
+    for n in range(11, 15):
+        s.profile(s.threshold(n, (n + 1) // 2))
+    for cache in (_orbits, _class_truth_table, _class_delta_echelon, _class_product_pieces):
+        assert cache.held_n() == (13, 14), cache.__name__
 
 
 def test_min_product_degree_examples():
