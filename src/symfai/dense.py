@@ -16,7 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapabilityError, InvariantViolation
-from .gf2 import BitBasis, bit_array_to_int, gf2_rank, int_to_bit_array, iter_bits, subset_xor_transform
+from .gf2 import (
+    BitBasis,
+    bit_array_to_int,
+    gf2_rank,
+    graded_masks,
+    int_to_bit_array,
+    iter_bits,
+    subset_xor_transform,
+)
 from .sanfv import Sanfv, WeightValueVector, to_values
 
 MAX_DENSE_N = 14
@@ -73,11 +81,11 @@ class DenseAnf:
         """Max weight of a monomial with nonzero coefficient; None if zero."""
         if self.bits == 0:
             return None
-        return max(c.bit_count() for c in iter_bits(self.bits))
+        return int(np.bitwise_count(np.flatnonzero(int_to_bit_array(self.bits, 1 << self.n))).max())
 
     def monomials(self) -> tuple[int, ...]:
         """Monomial masks in graded order (degree, then mask value)."""
-        return tuple(sorted(iter_bits(self.bits), key=lambda c: (c.bit_count(), c)))
+        return graded_masks(self.bits, self.n)
 
     def is_zero(self) -> bool:
         return self.bits == 0
@@ -113,7 +121,12 @@ def dense_degree(f: DenseBooleanFunction) -> int | None:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
+# _popcounts, _rank_tables and _monomial_tables keep the two most recently
+# used n, so a process that runs the oracle over several n does not hold
+# every n's tables.
+
+
+@functools.lru_cache(maxsize=2)
 def _popcounts(n: int) -> np.ndarray:
     xs = np.arange(1 << n, dtype=np.uint32)
     pc = np.zeros(1 << n, dtype=np.uint8)
@@ -138,22 +151,21 @@ def dense_from_sanfv(f: Sanfv) -> DenseBooleanFunction:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=2)
 def _rank_tables(n: int):
     """Graded-lex order of all monomial masks plus degree bookkeeping.
 
-    Returns (masks_by_rank, monomials_tuple, deg_by_rank, prefix) where
-    prefix[d] counts the monomials of degree <= d; coordinates permuted by
-    this order put high degrees at high bit positions.
+    Returns (masks_by_rank, monomials_tuple, prefix) where prefix[d] counts
+    the monomials of degree <= d; coordinates permuted by this order put
+    high degrees at high bit positions.
     """
     _check_dense_n(n)
     masks = np.arange(1 << n, dtype=np.int64)
     pc = _popcounts(n)
     order = np.lexsort((masks, pc))
     masks_by_rank = masks[order]
-    deg_by_rank = pc[order].astype(np.int64)
     prefix = np.cumsum(np.bincount(pc, minlength=n + 1))
-    return masks_by_rank, tuple(int(m) for m in masks_by_rank), deg_by_rank, prefix
+    return masks_by_rank, tuple(int(m) for m in masks_by_rank), prefix
 
 
 def monomials_graded(n: int) -> tuple[int, ...]:
@@ -162,12 +174,8 @@ def monomials_graded(n: int) -> tuple[int, ...]:
 
 
 def monomial_count_through_degree(n: int, d: int) -> int:
-    prefix = _rank_tables(n)[3]
+    prefix = _rank_tables(n)[2]
     return int(prefix[min(d, n)]) if d >= 0 else 0
-
-
-def rank_degrees(n: int) -> np.ndarray:
-    return _rank_tables(n)[2]
 
 
 def permuted_anf_int(n: int, anf_bits: int) -> int:
@@ -201,7 +209,7 @@ class _MonomialTables:
         return tt
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=2)
 def _monomial_tables(n: int) -> _MonomialTables:
     return _MonomialTables(n)
 

@@ -58,6 +58,16 @@ def bit_array_to_int(arr: np.ndarray) -> int:
     return int.from_bytes(packed.tobytes(), "little")
 
 
+def graded_masks(bits: int, n: int) -> tuple[int, ...]:
+    """Set positions of a 2^n-bit vector in graded order (popcount, then value).
+
+    Read as an ANF coefficient vector, these are its monomial masks.
+    """
+    masks = np.flatnonzero(int_to_bit_array(bits, 1 << n))
+    # flatnonzero lists the masks ascending, so a stable sort by popcount suffices
+    return tuple(masks[np.argsort(np.bitwise_count(masks), kind="stable")].tolist())
+
+
 def iter_bits(bits: int):
     """Yield the positions of set bits in ascending order."""
     while bits:

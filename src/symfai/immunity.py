@@ -43,11 +43,15 @@ C2 wr ... wr C2 acting on a block of 2^i consecutive variables.
   masked by those degree layers.  So no truth table is built or
   transformed for the scan.
 
-Witnesses are found as orbit-coordinate vectors and expanded to monomial
-masks only at the end, then re-checked on 2^n-point truth tables, a route
-that shares nothing with the scans.  The dense oracle performs the same
-computations over all g from raw truth tables and is used in the test
-suite to cross-check every result.
+Witnesses are found as orbit-coordinate vectors and expanded to ANF
+coefficient bits only at the end, then re-checked on 2^n-point truth
+tables, a route that shares nothing with the scans; f's truth table is
+built once per profile for both checks.  The reported monomial masks are
+listed in bulk by gf2.graded_masks (a handful of numpy calls per witness,
+no loop over the 2^n bits), and the JSON variable lists come from one
+bounded memo of mask -> indices shared by every n.  The dense oracle
+performs the same computations over all g from raw truth tables and is
+used in the test suite to cross-check every result.
 """
 
 from __future__ import annotations
@@ -60,8 +64,8 @@ import numpy as np
 
 from . import dense
 from .errors import CapabilityError, InvariantViolation
-from .gf2 import BitBasis, bit_array_to_int, int_to_bit_array, iter_bits, subset_xor_transform
-from .sanfv import Sanfv, WeightValueVector, to_values
+from .gf2 import BitBasis, bit_array_to_int, graded_masks, int_to_bit_array, iter_bits, subset_xor_transform
+from .sanfv import Sanfv, to_values
 
 MAX_EXACT_N = dense.MAX_DENSE_N
 
@@ -71,18 +75,19 @@ def _check_exact_n(n: int) -> None:
         raise CapabilityError(f"exact immunity supports n <= {MAX_EXACT_N}, got {n}")
 
 
-def monomial_indices(mask: int) -> list[int]:
-    """Variable indices of a monomial mask, sorted ascending."""
-    return list(iter_bits(mask))
+@functools.lru_cache(maxsize=1 << MAX_EXACT_N)
+def _variable_indices(mask: int) -> tuple[int, ...]:
+    """Variable indices of a monomial mask, sorted ascending.
 
-
-def anf_bits_to_monomials(bits: int) -> tuple[int, ...]:
-    """Monomial masks of an ANF, in graded order."""
-    return tuple(sorted(iter_bits(bits), key=lambda c: (c.bit_count(), c)))
+    The indices do not depend on n, so one cache with room for every mask
+    on MAX_EXACT_N variables serves every n; the JSON lists are fresh
+    copies of these tuples.
+    """
+    return tuple(iter_bits(mask))
 
 
 def _monomials_to_json(masks: tuple[int, ...]) -> list[list[int]]:
-    return [monomial_indices(m) for m in masks]
+    return [list(_variable_indices(m)) for m in masks]
 
 
 @dataclass(frozen=True)
@@ -317,14 +322,19 @@ def ai_symmetric(f: Sanfv) -> tuple[int, tuple[int, ...]]:
     preferred on ties).
     """
     _check_exact_n(f.n)
-    return _ai_with_witness(f.n, to_values(f).bits, functools.partial(_zero_span_min_degree, f.n))
+    values = to_values(f)
+    f_tt = dense.dense_from_values(values).bits
+    return _ai_with_witness(f.n, values.bits, f_tt, functools.partial(_zero_span_min_degree, f.n))
 
 
-def _ai_with_witness(n: int, value_bits: int, zero_set_degree) -> tuple[int, tuple[int, ...]]:
+def _ai_with_witness(
+    n: int, value_bits: int, f_tt: int, zero_set_degree
+) -> tuple[int, tuple[int, ...]]:
     """AI and verified annihilator of the symmetric function with these values.
 
-    zero_set_degree maps a class mask to (degree, orbit-coordinate vector)
-    as _zero_span_min_degree does.  f is preferred over f+1 on ties.
+    f_tt is its 2^n-point truth table.  zero_set_degree maps a class mask
+    to (degree, orbit-coordinate vector) as _zero_span_min_degree does.  f
+    is preferred over f+1 on ties.
     """
     d_f, w_f = zero_set_degree(((1 << (n + 1)) - 1) ^ value_bits)
     d_fc, w_fc = zero_set_degree(value_bits)
@@ -335,15 +345,14 @@ def _ai_with_witness(n: int, value_bits: int, zero_set_degree) -> tuple[int, tup
     else:
         value, witness = d_fc, w_fc
     witness_bits = _orbits(n).expand(witness)
-    _verify_annihilator(n, value_bits, witness_bits)
-    return value, anf_bits_to_monomials(witness_bits)
+    _verify_annihilator(n, f_tt, witness_bits)
+    return value, graded_masks(witness_bits, n)
 
 
-def _verify_annihilator(n: int, value_bits: int, anf_bits: int) -> None:
+def _verify_annihilator(n: int, f_tt: int, anf_bits: int) -> None:
     if anf_bits == 0:
         raise InvariantViolation("AI witness is the zero function")
     tt = subset_xor_transform(anf_bits, n)
-    f_tt = dense.dense_from_values(WeightValueVector(n, value_bits)).bits
     kills_f = tt & f_tt == 0
     kills_complement = tt & ~f_tt & ((1 << (1 << n)) - 1) == 0
     if not (kills_f or kills_complement):
@@ -428,11 +437,12 @@ def min_product_degree(f: Sanfv, e: int) -> int:
     return best
 
 
-def fai_given_ai(n: int, value_bits: int, ai_value: int):
+def fai_given_ai(n: int, value_bits: int, f_tt: int, ai_value: int):
     """FAI from a known AI; returns (fai, witness_pair_or_None, capped).
 
-    witness is a pair (g monomial masks, h monomial masks) with h = g*f
-    attaining the minimum; None when only the 2*AI cap term attains it.
+    f_tt is f's 2^n-point truth table.  witness is a pair (g monomial
+    masks, h monomial masks) with h = g*f attaining the minimum; None when
+    only the 2*AI cap term attains it.
     """
     if ai_value <= 1:
         return 2 * ai_value, None, True
@@ -449,14 +459,13 @@ def fai_given_ai(n: int, value_bits: int, ai_value: int):
     if best_pair is None:
         return best, None, True
     g_bits, h_bits = (_orbits(n).expand(vec) for vec in best_pair)
-    _verify_pair(n, value_bits, g_bits, h_bits, best)
-    witness = (anf_bits_to_monomials(g_bits), anf_bits_to_monomials(h_bits))
+    _verify_pair(n, f_tt, g_bits, h_bits, best)
+    witness = (graded_masks(g_bits, n), graded_masks(h_bits, n))
     return best, witness, best == cap
 
 
-def _verify_pair(n: int, value_bits: int, g_bits: int, h_bits: int, value: int) -> None:
+def _verify_pair(n: int, f_tt: int, g_bits: int, h_bits: int, value: int) -> None:
     g_tt = subset_xor_transform(g_bits, n)
-    f_tt = dense.dense_from_values(WeightValueVector(n, value_bits)).bits
     if subset_xor_transform(h_bits, n) != (g_tt & f_tt):
         raise InvariantViolation("FAI witness pair fails h = g*f")
     g_deg = dense.DenseAnf(n, g_bits).degree()
@@ -481,11 +490,13 @@ def profile_from_zero_sets(f: Sanfv, zero_set_degree) -> ImmunityProfile:
     """Profile of f with its AI read from zero_set_degree (see _ai_with_witness).
 
     The single path behind profile() and the census: the AI witness is
-    verified, then the FAI scan runs from that AI.
+    verified, then the FAI scan runs from that AI.  f's truth table is built
+    once and both witnesses are checked against it.
     """
-    v = to_values(f).bits
-    ai_value, ai_witness = _ai_with_witness(f.n, v, zero_set_degree)
-    value, witness, capped = fai_given_ai(f.n, v, ai_value)
+    values = to_values(f)
+    f_tt = dense.dense_from_values(values).bits
+    ai_value, ai_witness = _ai_with_witness(f.n, values.bits, f_tt, zero_set_degree)
+    value, witness, capped = fai_given_ai(f.n, values.bits, f_tt, ai_value)
     return ImmunityProfile(
         f=f,
         deg=f.degree(),

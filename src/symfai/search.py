@@ -9,6 +9,7 @@ per n, so repeated calls (and the test suite) pay for one run only.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass
 
@@ -16,7 +17,7 @@ from . import immunity
 from .attacks import bound_suite
 from .errors import CapabilityError
 from .immunity import ImmunityProfile
-from .sanfv import Sanfv
+from .sanfv import Sanfv, _check_n
 
 MAX_SEARCH_N = 10
 
@@ -51,6 +52,9 @@ _reports: dict[int, SearchReport] = {}
 
 def profile_all(n: int, budget_seconds: float | None = None) -> SearchReport:
     """Profile every f in SB_n and aggregate; deterministic and cached per n."""
+    _check_n(n)
+    if budget_seconds is not None and not math.isfinite(budget_seconds):
+        raise ValueError(f"budget must be a finite number of seconds, got {budget_seconds}")
     if n > MAX_SEARCH_N:
         raise CapabilityError(f"exhaustive search supports n <= {MAX_SEARCH_N}, got {n}")
     cached = _reports.get(n)
@@ -105,11 +109,15 @@ def find_symmetric_mai(n: int) -> list[Sanfv]:
 
 
 def write_profiles_jsonl(report: SearchReport, path: str) -> None:
-    """Dump one profile per line (stable field order) so reruns can be diffed."""
+    """Dump one profile per line (stable field order) so reruns can be diffed.
+
+    to_json_dict builds fresh, acyclic lists, so the encoder's cycle check
+    (one id lookup per witness monomial) is skipped; the bytes are the same.
+    """
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(json.dumps(report.to_json_dict(), sort_keys=True) + "\n")
         for p in report.profiles:
-            handle.write(json.dumps(p.to_json_dict(), sort_keys=True) + "\n")
+            handle.write(json.dumps(p.to_json_dict(), sort_keys=True, check_circular=False) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,24 @@ def fai_brute(f: s.Sanfv) -> tuple[int, int]:
     return a, best
 
 
+def iter_bits_reference(bits: int):
+    """Set bit positions, ascending: the loop that the bulk listing replaced."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
+
+def graded_reference(bits: int) -> tuple[int, ...]:
+    """Monomial masks of an ANF in graded order, by the pure-Python definition."""
+    return tuple(sorted(iter_bits_reference(bits), key=lambda c: (c.bit_count(), c)))
+
+
+def json_reference(masks) -> list[list[int]]:
+    """JSON variable lists of monomial masks, by the pure-Python definition."""
+    return [list(iter_bits_reference(m)) for m in masks]
+
+
 def random_sanfv(rng: random.Random, n: int) -> s.Sanfv:
     return s.Sanfv(n, rng.getrandbits(n + 1))
 

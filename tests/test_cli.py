@@ -145,6 +145,19 @@ def test_search_budget_exit_3():
     assert code == 3 and "budget" in err
 
 
+def test_search_bad_n_exits_2_with_the_variable_count_message():
+    code, out, err = run_cli(["search", "--n", "-2"])
+    assert code == 2 and out == ""
+    assert err == "error: variable count must be a positive integer, got -2\n"
+
+
+@pytest.mark.parametrize("budget", ["nan", "inf"])
+def test_search_nonfinite_budget_exits_2(budget):
+    code, out, err = run_cli(["search", "--n", "2", "--budget-seconds", budget])
+    assert code == 2 and out == ""
+    assert err.startswith("error: budget must be a finite number of seconds")
+
+
 def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as info:
         run_cli(["frobnicate"])

@@ -5,6 +5,7 @@ import random
 import pytest
 
 import symfai as s
+from symfai import dense
 from symfai.errors import CapabilityError
 
 from conftest import random_sanfv
@@ -45,6 +46,13 @@ def test_dense_mul_idempotent(rng):
     assert s.dense_mul(f, f) == f
     with pytest.raises(ValueError):
         s.dense_mul(f, s.DenseBooleanFunction(4, 0))
+
+
+def test_oracle_caches_hold_at_most_two_n():
+    for n in (12, 13, 14):
+        assert s.ai(s.dense_from_sanfv(s.threshold(n, (n + 1) // 2))) == (n + 1) // 2
+    for cache in (dense._popcounts, dense._rank_tables, dense._monomial_tables):
+        assert cache.cache_info().currsize <= 2, cache
 
 
 def test_dense_n_limit():

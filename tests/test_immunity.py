@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import symfai as s
-from symfai import dense
+from symfai import dense, gf2, immunity
 from symfai.errors import CapabilityError
 from symfai.immunity import (
     _class_delta_echelon,
@@ -21,7 +21,7 @@ from symfai.immunity import (
 )
 from symfai.search import profile_all
 
-from conftest import fai_brute, random_sanfv
+from conftest import fai_brute, graded_reference, json_reference, random_sanfv
 
 
 def test_ai_symmetric_examples():
@@ -263,6 +263,32 @@ def test_profile_json_shape_and_determinism():
     assert all(isinstance(m, list) for m in payload["ai_witness"])
     again = s.profile(s.sigma(8, 4)).to_json_dict()
     assert json.dumps(payload, sort_keys=True) == json.dumps(again, sort_keys=True)
+
+
+def test_bulk_listing_matches_pure_python_definitions():
+    # graded listing, degree and JSON variable lists against the loop
+    # definitions they replaced; seeds its own generator so the shared rng
+    # fixture gives the other tests the same draws
+    gen = random.Random(20261018)
+    for n in range(1, 15):
+        size = 1 << n
+        sparse = gen.getrandbits(size) & gen.getrandbits(size) & gen.getrandbits(size)
+        for bits in (0, 1, (1 << size) - 1, gen.getrandbits(size), sparse):
+            masks = graded_reference(bits)
+            assert gf2.graded_masks(bits, n) == masks, (n, bits)
+            assert dense.DenseAnf(n, bits).monomials() == masks, (n, bits)
+            degree = max((m.bit_count() for m in masks), default=None)
+            assert dense.DenseAnf(n, bits).degree() == degree, (n, bits)
+            assert immunity._monomials_to_json(masks) == json_reference(masks), (n, bits)
+
+
+def test_profile_json_lists_are_fresh():
+    p = s.profile(s.majority(7))
+    payload = p.to_json_dict()
+    payload["ai_witness"][0].append(99)
+    payload["fai_witness"]["g"][0].append(99)
+    assert p.to_json_dict()["ai_witness"] == json_reference(p.ai_witness)
+    assert p.to_json_dict()["fai_witness"]["g"] == json_reference(p.fai_witness[0])
 
 
 def test_is_aar_small_n_exhaustive():

@@ -8,6 +8,8 @@ import symfai as s
 from symfai.errors import CapabilityError, InvariantViolation
 from symfai.search import profile_all, tables_csv, write_profiles_jsonl
 
+from conftest import graded_reference, json_reference
+
 
 def test_profile_all_counts():
     for n in (3, 5):
@@ -134,3 +136,37 @@ def test_profiles_jsonl_roundtrip(tmp_path):
     assert header["n"] == 4 and "wall_time_s" not in header
     row = json.loads(lines[1])
     assert row["f"] == "00000"
+
+
+def _relisted_json(masks):
+    """Variable lists of the masks, re-listed from their ANF by the pure-Python definitions."""
+    anf = 0
+    for m in masks:
+        anf ^= 1 << m
+    return json_reference(graded_reference(anf))
+
+
+def test_profiles_jsonl_matches_pure_python_rebuild(tmp_path):
+    report = profile_all(8)
+    path = tmp_path / "census.jsonl"
+    write_profiles_jsonl(report, str(path))
+    expected = [json.dumps(report.to_json_dict(), sort_keys=True)]
+    for p in report.profiles:
+        witness = None
+        if p.fai_witness is not None:
+            witness = {"g": _relisted_json(p.fai_witness[0]), "h": _relisted_json(p.fai_witness[1])}
+        row = {
+            "f": p.f.to_string(),
+            "n": p.f.n,
+            "deg": p.deg,
+            "ai": p.ai,
+            "ai_witness": _relisted_json(p.ai_witness),
+            "fai": p.fai,
+            "fai_witness": witness,
+            "capped": p.capped,
+        }
+        expected.append(json.dumps(row, sort_keys=True))
+    lines = path.read_text().splitlines()
+    assert len(lines) == len(expected)
+    for line, want in zip(lines, expected):
+        assert line == want
