@@ -9,13 +9,15 @@ from symfai.search import profile_all, tables_csv
 print("=== max FAI over all symmetric functions ===")
 for n in range(4, 11):
     report = profile_all(n)
+    if n == 6:
+        sb6 = report
     marker = "" if report.max_fai < n else "  <- reaches n"
     print(f"n={n:2d}: {report.count:5d} functions, max FAI = {report.max_fai}{marker},"
           f" {len(report.mai_list)} with maximum AI, {report.wall_time_s:.2f}s")
 
 print()
 print("The n=6 maximum is attained by sigma_4 + a*sigma_3 + b*sigma_1 + c:")
-for w in profile_all(6).max_fai_witnesses:
+for w in sb6.max_fai_witnesses:
     print("  ", w)
 
 print()

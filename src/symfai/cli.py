@@ -125,10 +125,9 @@ def _run_tables(args) -> int:
     if args.format == "csv":
         _emit(search.tables_csv(), args.out)
     else:
-        upper, lower = search.emit_tables()
         payload = {
-            "upper_ai_by_degree": [[band, value] for band, value in upper],
-            "lower_degree_by_ai": [[band, value] for band, value in lower],
+            "upper_ai_by_degree": [[band, value] for band, value in search.upper_ai_table()],
+            "lower_degree_by_ai": [[band, value] for band, value in search.lower_degree_table()],
         }
         _emit(_dump(payload, args.format), args.out)
     return 0

@@ -52,17 +52,8 @@ class DenseBooleanFunction:
     def evaluate(self, x: int) -> int:
         return (self.bits >> x) & 1
 
-    def support_size(self) -> int:
-        return self.bits.bit_count()
-
     def complement(self) -> "DenseBooleanFunction":
         return DenseBooleanFunction(self.n, self.bits ^ ((1 << (1 << self.n)) - 1))
-
-    def __mul__(self, other: "DenseBooleanFunction") -> "DenseBooleanFunction":
-        return dense_mul(self, other)
-
-    def __add__(self, other: "DenseBooleanFunction") -> "DenseBooleanFunction":
-        return dense_add(self, other)
 
 
 @dataclass(frozen=True)
@@ -104,12 +95,6 @@ def dense_mul(f: DenseBooleanFunction, g: DenseBooleanFunction) -> DenseBooleanF
     if f.n != g.n:
         raise ValueError(f"variable counts differ: {f.n} vs {g.n}")
     return DenseBooleanFunction(f.n, f.bits & g.bits)
-
-
-def dense_add(f: DenseBooleanFunction, g: DenseBooleanFunction) -> DenseBooleanFunction:
-    if f.n != g.n:
-        raise ValueError(f"variable counts differ: {f.n} vs {g.n}")
-    return DenseBooleanFunction(f.n, f.bits ^ g.bits)
 
 
 def dense_degree(f: DenseBooleanFunction) -> int | None:
@@ -219,25 +204,29 @@ def _monomial_tables(n: int) -> _MonomialTables:
 # ---------------------------------------------------------------------------
 
 
-def min_annihilator_degree(f: DenseBooleanFunction) -> tuple[int | None, DenseAnf | None]:
-    """Least degree of a nonzero g with g*f = 0, with a witness.
+def _annihilator_search(
+    sides: tuple[DenseBooleanFunction, ...]
+) -> tuple[int | None, DenseAnf | None]:
+    """Least degree of a nonzero g with g*side = 0 for one of the sides, with a witness.
 
     Works column by column: monomials in graded order are restricted to the
-    support of f and inserted into an echelon basis; the first dependent
-    column yields the witness as its recorded combination.  For f = 0 this
-    returns (0, 1).  The all-ones function has no annihilator at all, which
-    is reported as (None, None).
+    support of each side and inserted into that side's echelon basis; the
+    first dependent column yields the witness as its recorded combination,
+    checked before it is returned.  (None, None) when no side has an
+    annihilator.
     """
-    n = f.n
+    n = sides[0].n
     tables = _monomial_tables(n)
-    basis = BitBasis(track=True)
+    bases = [BitBasis(track=True) for _ in sides]
     for mask in monomials_graded(n):
-        pivot, _, comb = basis.insert(tables.truth_table(mask) & f.bits)
-        if pivot is None:
-            witness = DenseAnf(n, permuted_rank_to_anf_bits(n, comb))
-            d = mask.bit_count()
-            _check_annihilator(f, witness, d)
-            return d, witness
+        tt = tables.truth_table(mask)
+        for side, basis in zip(sides, bases):
+            pivot, _, comb = basis.insert(tt & side.bits)
+            if pivot is None:
+                witness = DenseAnf(n, permuted_rank_to_anf_bits(n, comb))
+                d = mask.bit_count()
+                _check_annihilator(side, witness, d)
+                return d, witness
     return None, None
 
 
@@ -250,33 +239,25 @@ def _check_annihilator(f: DenseBooleanFunction, g: DenseAnf, d: int) -> None:
         raise InvariantViolation(f"annihilator witness degree {g.degree()} != reported {d}")
 
 
+def min_annihilator_degree(f: DenseBooleanFunction) -> tuple[int | None, DenseAnf | None]:
+    """Least degree of a nonzero g with g*f = 0, with a witness.
+
+    For f = 0 this returns (0, 1).  The all-ones function has no
+    annihilator at all, which is reported as (None, None).
+    """
+    return _annihilator_search((f,))
+
+
 def ai(f: DenseBooleanFunction) -> int:
     """Algebraic immunity: least degree annihilating f or its complement.
 
-    Both sides are grown degree level by degree level, so the search stops
-    at the first dependency on either side.
+    Both sides are grown monomial by monomial, so the search stops at the
+    first dependency on either side; its witness is checked.
     """
-    n = f.n
-    full = (1 << (1 << n)) - 1
-    if f.bits == 0 or f.bits == full:
-        return 0
-    tables = _monomial_tables(n)
-    side_f = BitBasis()
-    side_fc = BitBasis()
-    comp = f.bits ^ full
-    monomials = monomials_graded(n)
-    idx = 0
-    for d in range(n + 1):
-        upper = monomial_count_through_degree(n, d)
-        level = monomials[idx:upper]
-        idx = upper
-        for mask in level:
-            tt = tables.truth_table(mask)
-            if side_f.insert(tt & f.bits)[0] is None:
-                return d
-            if side_fc.insert(tt & comp)[0] is None:
-                return d
-    raise InvariantViolation(f"no annihilator found on either side for tt={f.bits:#x}")
+    d, _ = _annihilator_search((f, f.complement()))
+    if d is None:
+        raise InvariantViolation(f"no annihilator found on either side for tt={f.bits:#x}")
+    return d
 
 
 # ---------------------------------------------------------------------------

@@ -125,9 +125,6 @@ class BitBasis:
     def rank(self) -> int:
         return len(self._rows)
 
-    def pivots(self):
-        return self._rows.keys()
-
     def copy(self) -> "BitBasis":
         dup = BitBasis.__new__(BitBasis)
         dup._rows = dict(self._rows)

@@ -419,24 +419,6 @@ def _multiplier_scan(n: int, value_bits: int, max_level: int):
         yield degree[rank], degree[pivot], comb, reduced
 
 
-def min_product_degree(f: Sanfv, e: int) -> int:
-    """Least d such that some nonconstant g with deg(g) <= e has deg(g*f) <= d.
-
-    Only defined for 1 <= e < AI(f); in that range g*f cannot vanish, so the
-    minimum is the smallest pivot degree among the product columns of
-    degree <= e.
-    """
-    _check_exact_n(f.n)
-    ai_value, _ = ai_symmetric(f)
-    if not 1 <= e < ai_value:
-        raise ValueError(f"degree cap must satisfy 1 <= e < AI(f) = {ai_value}, got {e}")
-    best = None
-    for _, pivot_deg, _, _ in _multiplier_scan(f.n, to_values(f).bits, e):
-        if best is None or pivot_deg < best:
-            best = pivot_deg
-    return best
-
-
 def fai_given_ai(n: int, value_bits: int, f_tt: int, ai_value: int):
     """FAI from a known AI; returns (fai, witness_pair_or_None, capped).
 
@@ -472,12 +454,6 @@ def _verify_pair(n: int, f_tt: int, g_bits: int, h_bits: int, value: int) -> Non
     h_deg = dense.DenseAnf(n, h_bits).degree()
     if g_bits in (0, 1) or g_deg + h_deg > value:
         raise InvariantViolation("FAI witness pair does not attain the reported value")
-
-
-def fai(f: Sanfv) -> tuple[int, tuple[tuple[int, ...], tuple[int, ...]] | None]:
-    """Fast algebraic immunity with a witness pair where one exists."""
-    p = profile(f)
-    return p.fai, p.fai_witness
 
 
 def profile(f: Sanfv) -> ImmunityProfile:

@@ -26,8 +26,6 @@ from .gf2 import iter_bits, parity_binomial, subset_xor_transform
 
 MAX_VARIABLES = 1 << 16
 
-binom_parity = parity_binomial
-
 
 def _check_n(n: int) -> None:
     if not isinstance(n, int) or n < 1:
@@ -243,10 +241,6 @@ def sigma_product_binomial(i: int, j: int, n: int) -> Sanfv:
     return Sanfv(n, bits)
 
 
-def degree(f: Sanfv) -> int | None:
-    return f.degree()
-
-
 def decompose(f: Sanfv) -> DecomposedForm:
     """Write f as F(sigma_1, sigma_2, sigma_4, ..., sigma_{2^m}), m = floor(log2 n).
 
@@ -333,7 +327,12 @@ def parse_function(n: int, text: str) -> Sanfv:
     if text == "majority":
         return majority(n)
     if text.startswith("sigma:"):
-        return sigma(n, int(text.split(":", 1)[1]))
+        index = text.split(":", 1)[1]
+        try:
+            i = int(index)
+        except ValueError:
+            raise ValueError(f"sigma index must be an integer, got {index!r}") from None
+        return sigma(n, i)
     if text.startswith("v:"):
         return to_sanfv(WeightValueVector.from_string(n, text))
     return Sanfv.from_string(n, text)

@@ -2,8 +2,7 @@
 
 profile_all(n) walks every symmetric function on n variables in SANFV
 integer order, profiles it, and checks the full inequality suite; any
-violation is a library defect and lands in the report.  Results are cached
-per n, so repeated calls (and the test suite) pay for one run only.
+violation is a library defect and lands in the report.
 """
 
 from __future__ import annotations
@@ -47,19 +46,13 @@ class SearchReport:
         }
 
 
-_reports: dict[int, SearchReport] = {}
-
-
 def profile_all(n: int, budget_seconds: float | None = None) -> SearchReport:
-    """Profile every f in SB_n and aggregate; deterministic and cached per n."""
+    """Profile every f in SB_n and aggregate; deterministic."""
     _check_n(n)
     if budget_seconds is not None and not math.isfinite(budget_seconds):
         raise ValueError(f"budget must be a finite number of seconds, got {budget_seconds}")
     if n > MAX_SEARCH_N:
         raise CapabilityError(f"exhaustive search supports n <= {MAX_SEARCH_N}, got {n}")
-    cached = _reports.get(n)
-    if cached is not None:
-        return cached
 
     start = time.monotonic()
     zero_set_degree = immunity.all_zero_set_degrees(n).__getitem__
@@ -88,7 +81,7 @@ def profile_all(n: int, budget_seconds: float | None = None) -> SearchReport:
         if p.ai == mai_target:
             mai_list.append(f.to_string())
 
-    result = SearchReport(
+    return SearchReport(
         n=n,
         count=len(profiles),
         max_fai=max_fai,
@@ -98,8 +91,6 @@ def profile_all(n: int, budget_seconds: float | None = None) -> SearchReport:
         wall_time_s=time.monotonic() - start,
         profiles=tuple(profiles),
     )
-    _reports[n] = result
-    return result
 
 
 def find_symmetric_mai(n: int) -> list[Sanfv]:
@@ -141,10 +132,6 @@ def lower_degree_table() -> list[tuple[str, int]]:
         lo = (1 << (k - 1)) + 1 if k else 1
         rows.append((_band_label(lo, 1 << k), 1 << k))
     return rows
-
-
-def emit_tables() -> tuple[list[tuple[str, int]], list[tuple[str, int]]]:
-    return upper_ai_table(), lower_degree_table()
 
 
 def tables_csv() -> str:

@@ -26,7 +26,7 @@ import time
 
 import symfai as s
 from conftest import fai_brute
-from symfai.search import profile_all
+from symfai.search import lower_degree_table, profile_all, upper_ai_table
 
 MAX_FAI = {5: 4, 6: 6, 10: 8}
 FAI_SIGMA4_N8 = 6
@@ -273,7 +273,7 @@ def test_criterion_11_gap_statistic():
 
 
 def test_criterion_12_tables():
-    upper, lower = s.emit_tables()
+    upper, lower = upper_ai_table(), lower_degree_table()
     assert upper == [
         ("1", 1), ("2-3", 2), ("4-7", 4), ("8-15", 8),
         ("16-31", 16), ("32-63", 32), ("64-127", 64), ("128-255", 128),

@@ -3,6 +3,7 @@
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -107,6 +108,10 @@ def test_parse_errors_exit_2():
     assert code == 2
     code, _, _ = run_cli(["stat", "--n", "10", "--samples", "10"])
     assert code == 2  # even n
+    for spec, shown in (("sigma:x", "'x'"), ("sigma:", "''")):
+        code, out, err = run_cli(["analyze", "--n", "3", "--f", spec])
+        assert code == 2 and out == ""
+        assert err == f"error: sigma index must be an integer, got {shown}\n"
 
 
 @pytest.mark.parametrize(
@@ -138,9 +143,6 @@ def test_capability_errors_exit_3():
 
 
 def test_search_budget_exit_3():
-    from symfai.search import _reports
-
-    _reports.pop(2, None)
     code, _, err = run_cli(["search", "--n", "2", "--budget-seconds", "-1"])
     assert code == 3 and "budget" in err
 
@@ -179,15 +181,22 @@ def test_unwritable_out_path_exits_2(tmp_path, argv):
 
 
 def test_cross_process_determinism(tmp_path):
+    import os
     import subprocess
     import sys
 
+    import symfai
+
+    # the child imports the same package as this process, however it was found
+    src = str(Path(symfai.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     outputs = []
     for name in ("a.jsonl", "b.jsonl"):
         path = tmp_path / name
         proc = subprocess.run(
             [sys.executable, "-m", "symfai.cli", "search", "--n", "4", "--out", str(path)],
             capture_output=True,
+            env=env,
             timeout=120,
         )
         assert proc.returncode == 0, proc.stderr.decode()

@@ -6,7 +6,7 @@ import pytest
 
 import symfai as s
 from symfai import dense
-from symfai.errors import CapabilityError
+from symfai.errors import CapabilityError, InvariantViolation
 
 from conftest import random_sanfv
 
@@ -92,6 +92,27 @@ def test_ai_examples():
     assert s.ai(s.DenseBooleanFunction(3, 0)) == 0
 
 
+def test_ai_checks_its_witness(monkeypatch):
+    def reject(f, g, d):
+        raise InvariantViolation("rejected")
+
+    monkeypatch.setattr(dense, "_check_annihilator", reject)
+    with pytest.raises(InvariantViolation):
+        s.ai(s.dense_from_sanfv(s.majority(5)))
+
+
+def test_ai_is_least_annihilator_degree_of_either_side(rng):
+    fs = [s.DenseBooleanFunction(n, bits) for n in (1, 2, 3) for bits in range(1 << (1 << n))]
+    for _ in range(40):
+        n = rng.randrange(1, 9)
+        fs.append(s.DenseBooleanFunction(n, rng.getrandbits(1 << n)))
+    zero = s.DenseBooleanFunction(5, 0)
+    fs += [zero, zero.complement()]
+    for f in fs:
+        sides = (s.min_annihilator_degree(f)[0], s.min_annihilator_degree(f.complement())[0])
+        assert s.ai(f) == min(d for d in sides if d is not None), f
+
+
 def test_ai_complement_symmetry(rng):
     for _ in range(40):
         n = rng.randrange(2, 9)
@@ -120,6 +141,8 @@ def test_min_multiplier_sigma4_n8():
     assert result.annihilator is None
     assert result.g.degree() == 1
     assert result.h.degree() == 5
+    # sigma_2 * majority(9) has degree 6
+    assert s.min_multiplier_degree(s.dense_from_sanfv(s.majority(9)), 2).d <= 6
 
 
 def test_min_multiplier_annihilator_case():

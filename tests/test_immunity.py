@@ -82,19 +82,19 @@ def profile_for(bulk, f):
 
 
 def test_fai_cap_for_low_ai():
-    value, witness = s.fai(s.sigma(4, 1))
-    assert value == 2 and witness is None
-    assert s.fai(s.Sanfv(4, 0))[0] == 0
-    assert s.fai(s.Sanfv(4, 1))[0] == 0
+    p = s.profile(s.sigma(4, 1))
+    assert p.fai == 2 and p.fai_witness is None
+    assert s.profile(s.Sanfv(4, 0)).fai == 0
+    assert s.profile(s.Sanfv(4, 1)).fai == 0
 
 
 def test_fai_sigma4_n8_pinned():
     # within the provable window [5, 6]; the exact value is a regression
     # constant fixed by the dense oracle
-    value, witness = s.fai(s.sigma(8, 4))
-    assert value == 6
-    assert witness is not None
-    g_masks, h_masks = witness
+    p = s.profile(s.sigma(8, 4))
+    assert p.fai == 6
+    assert p.fai_witness is not None
+    g_masks, h_masks = p.fai_witness
     assert max(m.bit_count() for m in g_masks) + max(m.bit_count() for m in h_masks) == 6
 
 
@@ -209,33 +209,13 @@ def test_table_caches_hold_at_most_two_n():
         assert cache.held_n() == (13, 14), cache.__name__
 
 
-def test_min_product_degree_examples():
-    assert s.min_product_degree(s.sigma(8, 4), 1) == 5
-    assert s.min_product_degree(s.majority(9), 2) <= 6  # sigma_2 * maj has degree 6
-    with pytest.raises(ValueError):
-        s.min_product_degree(s.sigma(8, 4), 4)  # e >= AI
-    with pytest.raises(ValueError):
-        s.min_product_degree(s.sigma(8, 4), 0)
-
-
-def test_min_product_degree_monotone(rng):
-    checked = 0
-    while checked < 10:
-        f = random_sanfv(rng, 9)
-        a = s.ai_symmetric(f)[0]
-        if a < 3:
-            continue
-        values = [s.min_product_degree(f, e) for e in range(1, a)]
-        assert all(x >= y for x, y in zip(values, values[1:]))
-        checked += 1
-
-
 def test_courtois_ceiling(rng):
     for _ in range(40):
         f = random_sanfv(rng, 10)
+        dense_f = s.dense_from_sanfv(f)
         a = s.ai_symmetric(f)[0]
         for e in range(1, a):
-            assert s.min_product_degree(f, e) <= f.n - e
+            assert s.min_multiplier_degree(dense_f, e).d <= f.n - e
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import random
 import pytest
 
 import symfai as s
+from symfai.gf2 import parity_binomial
 from symfai.sanfv import one, zero
 
 from conftest import random_sanfv
@@ -17,21 +18,21 @@ from conftest import random_sanfv
 
 
 def test_binom_parity_examples():
-    assert s.binom_parity(5, 1) == 1
-    assert s.binom_parity(4, 2) == 0
+    assert parity_binomial(5, 1) == 1
+    assert parity_binomial(4, 2) == 0
     for k in range(20):
-        assert s.binom_parity(k, 0) == 1
+        assert parity_binomial(k, 0) == 1
 
 
 def test_binom_parity_matches_factorials():
     for k in range(13):
         for i in range(13):
-            assert s.binom_parity(k, i) == math.comb(k, i) % 2
+            assert parity_binomial(k, i) == math.comb(k, i) % 2
 
 
 def test_binom_parity_rejects_negative():
     with pytest.raises(ValueError):
-        s.binom_parity(-1, 0)
+        parity_binomial(-1, 0)
 
 
 # ---------------------------------------------------------------------------

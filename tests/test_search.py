@@ -1,12 +1,14 @@
 """Exhaustive search harness: reports, MAI census, tables, persistence."""
 
+import gc
 import json
+import weakref
 
 import pytest
 
 import symfai as s
 from symfai.errors import CapabilityError, InvariantViolation
-from symfai.search import profile_all, tables_csv, write_profiles_jsonl
+from symfai.search import lower_degree_table, profile_all, tables_csv, upper_ai_table, write_profiles_jsonl
 
 from conftest import graded_reference, json_reference
 
@@ -44,16 +46,15 @@ def test_profile_all_enumeration_order():
     assert [p.f.bits for p in report.profiles] == list(range(1 << 5))
 
 
-def test_profile_all_is_cached():
-    assert profile_all(5) is profile_all(5)
+def test_profile_all_retains_no_report():
+    ref = weakref.ref(profile_all(4))
+    gc.collect()
+    assert ref() is None
 
 
 def test_profile_all_limits():
-    from symfai.search import _reports
-
     with pytest.raises(CapabilityError):
         profile_all(11)
-    _reports.pop(1, None)
     with pytest.raises(CapabilityError):
         profile_all(1, budget_seconds=-1.0)
 
@@ -66,13 +67,11 @@ def test_profile_matches_census_entry():
 
 def test_profile_all_verifies_every_ai_witness(monkeypatch):
     from symfai import immunity
-    from symfai.search import _reports
 
     def reject(n, value_bits, anf_bits):
         raise InvariantViolation("rejected")
 
     monkeypatch.setattr(immunity, "_verify_annihilator", reject)
-    monkeypatch.delitem(_reports, 3, raising=False)
     with pytest.raises(InvariantViolation):
         profile_all(3)
 
@@ -90,7 +89,7 @@ def test_find_symmetric_mai_8_structure():
 
 
 def test_tables_match_known_cells():
-    upper, lower = s.emit_tables()
+    upper, lower = upper_ai_table(), lower_degree_table()
     assert upper == [
         ("1", 1),
         ("2-3", 2),
