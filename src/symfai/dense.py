@@ -106,9 +106,9 @@ def dense_degree(f: DenseBooleanFunction) -> int | None:
 # ---------------------------------------------------------------------------
 
 
-# _popcounts, _rank_tables and _monomial_tables keep the two most recently
-# used n, so a process that runs the oracle over several n does not hold
-# every n's tables.
+# _popcounts, _weight_class_tables, _rank_tables and _monomial_tables keep
+# the two most recently used n, so a process that runs the oracle over
+# several n does not hold every n's tables.
 
 
 @functools.lru_cache(maxsize=2)
@@ -120,11 +120,26 @@ def _popcounts(n: int) -> np.ndarray:
     return pc
 
 
+@functools.lru_cache(maxsize=2)
+def _weight_class_tables(n: int) -> tuple[int, ...]:
+    """Truth table of each weight-class indicator [wt(x) = k], k = 0..n."""
+    pc = _popcounts(n)
+    return tuple(bit_array_to_int(pc == k) for k in range(n + 1))
+
+
 def dense_from_values(v: WeightValueVector) -> DenseBooleanFunction:
-    """Truth table of the symmetric function with the given value vector."""
+    """Truth table of the symmetric function with the given value vector.
+
+    The weight classes are disjoint, so the table is the XOR of the
+    indicators of v's support classes.  This builds f's truth table for the
+    immunity engine's witness checks; it does no elimination.
+    """
     _check_dense_n(v.n)
-    varr = int_to_bit_array(v.bits, v.n + 1)
-    return DenseBooleanFunction(v.n, bit_array_to_int(varr[_popcounts(v.n)]))
+    tables = _weight_class_tables(v.n)
+    bits = 0
+    for k in iter_bits(v.bits):
+        bits ^= tables[k]
+    return DenseBooleanFunction(v.n, bits)
 
 
 def dense_from_sanfv(f: Sanfv) -> DenseBooleanFunction:

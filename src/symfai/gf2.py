@@ -23,14 +23,21 @@ def parity_binomial(k: int, i: int) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _butterfly_masks(log_size: int) -> tuple[int, ...]:
-    """For each index-bit b, the mask of positions whose index has bit b clear."""
+    """For each index-bit b, the mask of positions whose index has bit b clear.
+
+    Each mask repeats a block of 2^b ones in every period of 2^(b+1)
+    positions; it is built by doubling the repeated part, which stays
+    linear in the size where a big-int division by the repunit does not.
+    """
     size = 1 << log_size
     masks = []
     for b in range(log_size):
-        period = 1 << (b + 1)
-        block = (1 << (1 << b)) - 1
-        repunit = ((1 << size) - 1) // ((1 << period) - 1)
-        masks.append(block * repunit)
+        mask = (1 << (1 << b)) - 1
+        width = 1 << (b + 1)
+        while width < size:
+            mask |= mask << width
+            width <<= 1
+        masks.append(mask)
     return tuple(masks)
 
 

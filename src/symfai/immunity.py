@@ -48,10 +48,9 @@ coefficient bits only at the end, then re-checked on 2^n-point truth
 tables, a route that shares nothing with the scans; f's truth table is
 built once per profile for both checks.  The reported monomial masks are
 listed in bulk by gf2.graded_masks (a handful of numpy calls per witness,
-no loop over the 2^n bits), and the JSON variable lists come from one
-bounded memo of mask -> indices shared by every n.  The dense oracle
-performs the same computations over all g from raw truth tables and is
-used in the test suite to cross-check every result.
+no loop over the 2^n bits).  The dense oracle performs the same
+computations over all g from raw truth tables and is used in the test
+suite to cross-check every result.
 """
 
 from __future__ import annotations
@@ -75,19 +74,8 @@ def _check_exact_n(n: int) -> None:
         raise CapabilityError(f"exact immunity supports n <= {MAX_EXACT_N}, got {n}")
 
 
-@functools.lru_cache(maxsize=1 << MAX_EXACT_N)
-def _variable_indices(mask: int) -> tuple[int, ...]:
-    """Variable indices of a monomial mask, sorted ascending.
-
-    The indices do not depend on n, so one cache with room for every mask
-    on MAX_EXACT_N variables serves every n; the JSON lists are fresh
-    copies of these tuples.
-    """
-    return tuple(iter_bits(mask))
-
-
 def _monomials_to_json(masks: tuple[int, ...]) -> list[list[int]]:
-    return [list(_variable_indices(m)) for m in masks]
+    return [list(iter_bits(m)) for m in masks]
 
 
 @dataclass(frozen=True)

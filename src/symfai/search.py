@@ -12,11 +12,12 @@ import math
 import time
 from dataclasses import dataclass
 
-from . import immunity
+from . import dense, immunity
 from .attacks import bound_suite
 from .errors import CapabilityError
+from .gf2 import iter_bits
 from .immunity import ImmunityProfile
-from .sanfv import Sanfv, _check_n
+from .sanfv import Sanfv, _check_n, to_values
 
 MAX_SEARCH_N = 10
 
@@ -46,13 +47,17 @@ class SearchReport:
         }
 
 
+def _check_search_cap(n: int) -> None:
+    if n > MAX_SEARCH_N:
+        raise CapabilityError(f"exhaustive search supports n <= {MAX_SEARCH_N}, got {n}")
+
+
 def profile_all(n: int, budget_seconds: float | None = None) -> SearchReport:
     """Profile every f in SB_n and aggregate; deterministic."""
     _check_n(n)
     if budget_seconds is not None and not math.isfinite(budget_seconds):
         raise ValueError(f"budget must be a finite number of seconds, got {budget_seconds}")
-    if n > MAX_SEARCH_N:
-        raise CapabilityError(f"exhaustive search supports n <= {MAX_SEARCH_N}, got {n}")
+    _check_search_cap(n)
 
     start = time.monotonic()
     zero_set_degree = immunity.all_zero_set_degrees(n).__getitem__
@@ -94,21 +99,51 @@ def profile_all(n: int, budget_seconds: float | None = None) -> SearchReport:
 
 
 def find_symmetric_mai(n: int) -> list[Sanfv]:
-    """All f in SB_n with maximum algebraic immunity, in SANFV integer order."""
-    report = profile_all(n)
-    return [p.f for p in report.profiles if p.ai == (n + 1) // 2]
+    """All f in SB_n with maximum algebraic immunity, in SANFV integer order.
+
+    AI is read from one sweep over all weight-class unions; no FAI scan
+    runs, and every AI still comes with a verified annihilator.
+    """
+    _check_n(n)
+    _check_search_cap(n)
+    zero_set_degree = immunity.all_zero_set_degrees(n).__getitem__
+    mai = []
+    for lam in range(1 << (n + 1)):
+        f = Sanfv(n, lam)
+        values = to_values(f)
+        f_tt = dense.dense_from_values(values).bits
+        ai, _ = immunity._ai_with_witness(n, values.bits, f_tt, zero_set_degree)
+        if ai == (n + 1) // 2:
+            mai.append(f)
+    return mai
 
 
 def write_profiles_jsonl(report: SearchReport, path: str) -> None:
     """Dump one profile per line (stable field order) so reruns can be diffed.
 
-    to_json_dict builds fresh, acyclic lists, so the encoder's cycle check
-    (one id lookup per witness monomial) is skipped; the bytes are the same.
+    Each profile line holds the bytes of
+    json.dumps(p.to_json_dict(), sort_keys=True), written directly: keys in
+    sorted order, and each monomial's text looked up by its mask.
     """
+    monomial_text = [json.dumps(list(iter_bits(m))) for m in range(1 << report.n)]
+
+    def listed(masks: tuple[int, ...]) -> str:
+        return "[" + ", ".join([monomial_text[m] for m in masks]) + "]"
+
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(json.dumps(report.to_json_dict(), sort_keys=True) + "\n")
         for p in report.profiles:
-            handle.write(json.dumps(p.to_json_dict(), sort_keys=True, check_circular=False) + "\n")
+            if p.fai_witness is None:
+                fai_witness = "null"
+            else:
+                g, h = p.fai_witness
+                fai_witness = f'{{"g": {listed(g)}, "h": {listed(h)}}}'
+            handle.write(
+                f'{{"ai": {p.ai}, "ai_witness": {listed(p.ai_witness)}, '
+                f'"capped": {"true" if p.capped else "false"}, '
+                f'"deg": {"null" if p.deg is None else p.deg}, "f": "{p.f.to_string()}", '
+                f'"fai": {p.fai}, "fai_witness": {fai_witness}, "n": {p.f.n}}}\n'
+            )
 
 
 # ---------------------------------------------------------------------------

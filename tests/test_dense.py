@@ -51,8 +51,24 @@ def test_dense_mul_idempotent(rng):
 def test_oracle_caches_hold_at_most_two_n():
     for n in (12, 13, 14):
         assert s.ai(s.dense_from_sanfv(s.threshold(n, (n + 1) // 2))) == (n + 1) // 2
-    for cache in (dense._popcounts, dense._rank_tables, dense._monomial_tables):
+    for cache in (dense._popcounts, dense._weight_class_tables, dense._rank_tables, dense._monomial_tables):
         assert cache.cache_info().currsize <= 2, cache
+
+
+def _values_by_point(v):
+    return sum(((v.bits >> x.bit_count()) & 1) << x for x in range(1 << v.n))
+
+
+def test_dense_from_values_matches_pointwise_definition():
+    for n in range(1, 9):
+        for bits in range(1 << (n + 1)):
+            v = s.WeightValueVector(n, bits)
+            assert s.dense_from_values(v).bits == _values_by_point(v), (n, bits)
+    gen = random.Random(20261019)
+    for n in (12, 13, 14):
+        for _ in range(3):
+            v = s.WeightValueVector(n, gen.getrandbits(n + 1))
+            assert s.dense_from_values(v).bits == _values_by_point(v), (n, v.bits)
 
 
 def test_dense_n_limit():

@@ -4,6 +4,7 @@ import random
 
 from symfai.gf2 import (
     BitBasis,
+    _butterfly_masks,
     bit_array_to_int,
     gf2_rank,
     int_to_bit_array,
@@ -18,6 +19,16 @@ def test_transform_is_involution():
     for log_size in range(1, 12):
         bits = rng.getrandbits(1 << log_size)
         assert subset_xor_transform(subset_xor_transform(bits, log_size), log_size) == bits
+
+
+def test_butterfly_masks_match_division_formula():
+    for log_size in range(17):
+        size = 1 << log_size
+        expected = tuple(
+            ((1 << (1 << b)) - 1) * (((1 << size) - 1) // ((1 << (1 << (b + 1))) - 1))
+            for b in range(log_size)
+        )
+        assert _butterfly_masks.__wrapped__(log_size) == expected, log_size
 
 
 def test_transform_matches_naive():

@@ -82,6 +82,19 @@ def test_find_symmetric_mai_9():
     assert mai == [maj, s.add(maj, s.Sanfv(9, 1))]
 
 
+def test_find_symmetric_mai_matches_census():
+    for n in range(1, 9):
+        census = [p.f for p in profile_all(n).profiles if p.ai == (n + 1) // 2]
+        assert s.find_symmetric_mai(n) == census, n
+
+
+def test_find_symmetric_mai_limits():
+    with pytest.raises(CapabilityError):
+        s.find_symmetric_mai(11)
+    with pytest.raises(ValueError, match="positive integer"):
+        s.find_symmetric_mai(0)
+
+
 def test_find_symmetric_mai_8_structure():
     mai = s.find_symmetric_mai(8)
     assert {f.degree() for f in mai} <= {4, 8}
@@ -169,3 +182,22 @@ def test_profiles_jsonl_matches_pure_python_rebuild(tmp_path):
     assert len(lines) == len(expected)
     for line, want in zip(lines, expected):
         assert line == want
+
+
+def test_profiles_jsonl_lines_equal_json_dumps(tmp_path):
+    # the directly written lines against the encoder; the cases must reach
+    # every branch of the line format
+    seen = set()
+    for n in range(1, 10):
+        report = profile_all(n)
+        path = tmp_path / f"census-{n}.jsonl"
+        write_profiles_jsonl(report, str(path))
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == report.count + 1
+        assert lines[0] == json.dumps(report.to_json_dict(), sort_keys=True)
+        for line, p in zip(lines[1:], report.profiles):
+            assert line == json.dumps(p.to_json_dict(), sort_keys=True), (n, p.f.to_string())
+            seen.add(("deg", p.deg is None))
+            seen.add(("fai_witness", p.fai_witness is None))
+            seen.add(("capped", p.capped))
+    assert seen == {(key, flag) for key in ("deg", "fai_witness", "capped") for flag in (True, False)}
