@@ -26,7 +26,7 @@ from types import MappingProxyType
 
 from .errors import InvariantViolation
 from .immunity import ImmunityProfile
-from .sanfv import Sanfv, add, mul, one, sigma, split
+from .sanfv import Sanfv, _check_n, add, mul, one, sigma, split
 
 SOURCE_AFFINE = "thm3"
 SOURCE_RESIDUE = "thm4"
@@ -359,6 +359,7 @@ def product_degree_gap_statistic(n: int, samples: int, seed: int = 0) -> GapStat
     arithmetic, so n can be large.  The mean tends to 4 as n grows, since
     the gap is 2i with probability 2^-i.
     """
+    _check_n(n)
     if n % 2 == 0:
         raise ValueError(f"the statistic needs odd n, got {n}")
     if samples < 1:

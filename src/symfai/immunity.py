@@ -5,7 +5,7 @@ min over nonconstant g with deg(g) < AI(f) of deg(g) + deg(g*f), capped
 above by 2*AI(f); when AI(f) <= 1 the quantifier range is empty and the cap
 is the value.  Both quantify over ALL Boolean g, not just symmetric ones.
 
-Both scans nevertheless run over the functions invariant under a Sylow
+The scan nevertheless runs over the functions invariant under a Sylow
 2-subgroup P of S_n.  Since f is symmetric, S_n leaves invariant the
 annihilators of f of degree <= d and the spaces V(e, d) = {g : deg(g) <= e,
 deg(g*f) <= d}.  A finite 2-group acting on a nonzero GF(2) space fixes a
@@ -13,42 +13,46 @@ nonzero vector (the p-group fixed-point lemma), so each of these spaces is
 nonzero iff it holds a nonzero P-invariant g.  The constant g = 1 is kept
 out through W = {g in V(e, d) : g(0) = 0}: W is S_n-invariant, g + g(0) is
 in W for every nonconstant g in V(e, d) when 1 is, and every nonzero element
-of W is nonconstant.  So every existence question the scans ask is answered
+of W is nonconstant.  So every existence question the scan asks is answered
 by a P-invariant g.  Such a g has ANF coefficients constant on the P-orbits
 of monomials, and those orbits in graded order (degree, then least member)
 are the coordinates: 378 at n = 14 instead of 2^14 monomials.  P is the
 product, over the set bits 2^i of n, of the iterated wreath product
 C2 wr ... wr C2 acting on a block of 2^i consecutive variables.
 
-* Annihilators of f are exactly the functions supported inside the zero set
-  of f, which is a union of weight classes and so of P-orbits of points.
-  The ANF of an orbit indicator 1_O has coefficient #{x in O : x within M}
-  mod 2 at monomial M, which is constant on the orbit of M; the span of
-  each class's orbit indicators is echelonized once per (n, class).  One
-  class sweep merges these echelons for any set of class unions: the
-  single union of one function, or all 2^(n+1) unions for the census.  With
-  graded coordinates the minimum reachable degree is the degree of the
-  lowest pivot, and the annihilator reported is the P-invariant one whose
-  leading orbit is least; exactly one has that leading orbit, so the
-  witness does not depend on how the span was built.
-* For FAI, the map g -> g*f is scanned orbit sum by orbit sum in graded
-  order; each new echelon pivot at coordinate degree dd, reached while
-  inserting a sum of degree-e monomials, witnesses a pair value e + dd, and
-  the minimum over all of them is the searched inner minimum for every e at
-  once.  Each product column has a closed form: for a degree-j monomial
-  m, a degree-t monomial M has coefficient 0 in m*f unless M contains m,
-  and otherwise the XOR over the support classes k of f of C(t-j, k-j)
-  mod 2, which by Lucas is 1 exactly when k-j is a bit-submask of t-j.
-  Summed over an orbit O, the column of the orbit sum S_O is the row of O
-  masked by those degree layers.  So no truth table is built or
-  transformed for the scan.
+One scan answers both questions.  For each side s in (f, f+1) the map
+g -> g*s is scanned orbit sum by orbit sum in graded order, both sides
+level by level, each into its own echelon that records which orbit sums
+combine into each stored vector.
+
+* Each product column has a closed form: for a degree-j monomial m, a
+  degree-t monomial M has coefficient 0 in m*f unless M contains m, and
+  otherwise the XOR over the support classes k of f of C(t-j, k-j) mod 2,
+  which by Lucas is 1 exactly when k-j is a bit-submask of t-j.  Summed
+  over an orbit O, the column of the orbit sum S_O is the row of O masked
+  by those degree layers.  So no truth table is built or transformed for
+  the scan.
+* AI: a dependent column is a P-invariant annihilator of its side, and the
+  scan stops after the first level at which either side has one; that
+  level is the AI.  With graded coordinates each side's first dependency
+  is its annihilator of least leading orbit (degree, then least member);
+  exactly one has that leading orbit, so the witness does not depend on
+  how the echelon was built.  f's witness is preferred on ties.
+* FAI: each new pivot of f's side at coordinate degree dd, reached while
+  inserting a sum of degree-e monomials below the AI, witnesses a pair
+  value e + dd, and the minimum over all of them is the searched inner
+  minimum for every e at once.
+
+f and f+1 share one scan with the sides swapped, so the census, which
+visits them back to back, scans each pair once.
 
 Witnesses are found as orbit-coordinate vectors and expanded to ANF
 coefficient bits only at the end, then re-checked on 2^n-point truth
-tables, a route that shares nothing with the scans; f's truth table is
+tables, a route that shares nothing with the scan; f's truth table is
 built once per profile for both checks.  The reported monomial masks are
 listed in bulk by gf2.graded_masks (a handful of numpy calls per witness,
-no loop over the 2^n bits).  The dense oracle performs the same
+no loop over the 2^n bits), and the checks read the witness degrees from
+these lists.  The dense oracle performs the same
 computations over all g from raw truth tables and is used in the test
 suite to cross-check every result.
 """
@@ -56,7 +60,6 @@ suite to cross-check every result.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,13 +86,12 @@ class ImmunityProfile:
     """Per-function record: degree, AI with annihilator, FAI with multiplier pair.
 
     Both witnesses are invariant under the Sylow 2-subgroup P of S_n that
-    the scans work over (see the module docstring).  ai_witness comes from
-    the weight-class sweep and annihilates f, or f+1 when that side has
-    strictly lower degree.  Among the P-invariant annihilators of that side
-    it is the one whose leading orbit (degree, then least member) is least;
-    no other has the same leading orbit.  fai_witness is (g, g*f) for the
-    first pair of the orbit-graded multiplier scan that attains the FAI, or
-    None when no pair beats the 2*AI cap.
+    the scan works over (see the module docstring).  ai_witness annihilates
+    f, or f+1 when that side has strictly lower degree.  Among the
+    P-invariant annihilators of that side it is the one whose leading orbit
+    (degree, then least member) is least; no other has the same leading
+    orbit.  fai_witness is (g, g*f) for the first pair of the orbit-graded
+    scan that attains the FAI, or None when no pair beats the 2*AI cap.
     """
 
     f: Sanfv
@@ -214,7 +216,7 @@ def _orbits(n: int) -> _Orbits:
 
 
 # ---------------------------------------------------------------------------
-# annihilator side: minimum degree over a union of weight classes
+# orbit-coordinate tables
 # ---------------------------------------------------------------------------
 
 
@@ -243,115 +245,6 @@ def _class_delta_echelon(n: int, k: int) -> tuple[int, ...]:
     return tuple(basis.insert(row)[1] for row in _class_truth_table(n, k))
 
 
-@functools.lru_cache(maxsize=1 << 16)
-def _zero_span_min_degree(n: int, class_mask: int) -> tuple[int | None, int | None]:
-    """Minimum degree of a nonzero function supported on the given weight classes.
-
-    Returns (degree, orbit-coordinate vector) of the witness chosen by
-    _class_sweep, or (None, None) when the class set is empty.
-    """
-    return _class_sweep(n, (class_mask,))[class_mask]
-
-
-def all_zero_set_degrees(n: int) -> dict[int, tuple[int | None, int | None]]:
-    """_zero_span_min_degree for every union of weight classes, from one sweep.
-
-    Used by the exhaustive search harness; keys are class bit masks.
-    """
-    _check_exact_n(n)
-    return _class_sweep(n, range(1 << (n + 1)))
-
-
-def _class_sweep(n: int, masks) -> dict[int, tuple[int | None, int | None]]:
-    """Minimum supported-function degree, with a witness, for each class mask.
-
-    Depth-first over the n+1 weight classes, biggest class first so that the
-    expensive insertions sit near the root; the elimination state is copied
-    only where the requested masks differ on the current class.  Coordinates
-    are graded, so the least degree in the span is the degree of the lowest
-    pivot.  The witness is the stored row with that pivot: it is the only
-    nonzero vector of the span with that leading coordinate, so it does not
-    depend on the order in which the classes were inserted.
-    """
-    degree = _orbits(n).degree
-    order = sorted(range(n + 1), key=lambda k: (-math.comb(n, k), k))
-    results: dict[int, tuple[int | None, int | None]] = {}
-
-    def visit(idx: int, basis: BitBasis, lowest: tuple[int, int] | None, group: list[int]) -> None:
-        if idx == len(order):
-            if lowest is None:
-                results[group[0]] = (None, None)
-            else:
-                pivot, row = lowest
-                results[group[0]] = (degree[pivot], row)
-            return
-        k = order[idx]
-        inside = [m for m in group if m >> k & 1]
-        outside = [m for m in group if not m >> k & 1]
-        if inside:
-            grown = basis.copy() if outside else basis
-            grown_lowest = lowest
-            for vec in _class_delta_echelon(n, k):
-                pivot, row, _ = grown.insert(vec)
-                if pivot is not None and (grown_lowest is None or pivot < grown_lowest[0]):
-                    grown_lowest = (pivot, row)
-            visit(idx + 1, grown, grown_lowest, inside)
-        if outside:
-            visit(idx + 1, basis, lowest, outside)
-
-    visit(0, BitBasis(), None, list(masks))
-    return results
-
-
-def ai_symmetric(f: Sanfv) -> tuple[int, tuple[int, ...]]:
-    """Exact AI with an annihilator witness (monomial masks, graded order).
-
-    The witness annihilates whichever of f, f+1 attains the minimum (f is
-    preferred on ties).
-    """
-    _check_exact_n(f.n)
-    values = to_values(f)
-    f_tt = dense.dense_from_values(values).bits
-    return _ai_with_witness(f.n, values.bits, f_tt, functools.partial(_zero_span_min_degree, f.n))
-
-
-def _ai_with_witness(
-    n: int, value_bits: int, f_tt: int, zero_set_degree
-) -> tuple[int, tuple[int, ...]]:
-    """AI and verified annihilator of the symmetric function with these values.
-
-    f_tt is its 2^n-point truth table.  zero_set_degree maps a class mask
-    to (degree, orbit-coordinate vector) as _zero_span_min_degree does.  f
-    is preferred over f+1 on ties.
-    """
-    d_f, w_f = zero_set_degree(((1 << (n + 1)) - 1) ^ value_bits)
-    d_fc, w_fc = zero_set_degree(value_bits)
-    if d_f is None and d_fc is None:
-        raise InvariantViolation("no annihilator on either side")
-    if d_fc is None or (d_f is not None and d_f <= d_fc):
-        value, witness = d_f, w_f
-    else:
-        value, witness = d_fc, w_fc
-    witness_bits = _orbits(n).expand(witness)
-    _verify_annihilator(n, f_tt, witness_bits)
-    return value, graded_masks(witness_bits, n)
-
-
-def _verify_annihilator(n: int, f_tt: int, anf_bits: int) -> None:
-    if anf_bits == 0:
-        raise InvariantViolation("AI witness is the zero function")
-    tt = subset_xor_transform(anf_bits, n)
-    kills_f = tt & f_tt == 0
-    kills_complement = tt & ~f_tt & ((1 << (1 << n)) - 1) == 0
-    if not (kills_f or kills_complement):
-        raise InvariantViolation("AI witness annihilates neither side")
-
-
-# ---------------------------------------------------------------------------
-# multiplier side: the FAI inner minimum
-# ---------------------------------------------------------------------------
-
-
 @_recent_n_cache
 def _class_product_pieces(n: int) -> tuple[tuple[int, ...], ...]:
     """Orbit-coordinate degree-layer masks of (degree-j monomial * class-k indicator).
@@ -374,53 +267,153 @@ def _class_product_pieces(n: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _product_columns(n: int, value_bits: int, max_level: int):
-    """Orbit-coordinate ANF of S * f for every orbit sum S of degree <= max_level, in graded order."""
-    pieces = _class_product_pieces(n)
-    classes = tuple(iter_bits(value_bits))
-    for j in range(max_level + 1):
-        mask = 0
-        for k in classes:
-            mask ^= pieces[j][k]
-        for row in _class_truth_table(n, j):
-            yield row & mask
+# ---------------------------------------------------------------------------
+# the scan: AI, its witness and the FAI pairs
+# ---------------------------------------------------------------------------
 
 
-def _multiplier_scan(n: int, value_bits: int, max_level: int):
-    """Insert product columns in graded order, yielding one pivot per column.
+def _product_columns(rows: tuple[int, ...], layers: tuple[int, ...], classes: tuple[int, ...]):
+    """Orbit-coordinate ANF of S * f for the orbit sums S of one degree j, in graded order.
 
-    Yields (level, pivot_degree, comb, vec) for every orbit sum past the
-    constant one; comb is a bit mask over orbit ranks.  A dependent column
-    below the AI cap would mean a low-degree annihilator slipped through,
-    so it raises.
+    rows are _class_truth_table(n, j), layers are _class_product_pieces(n)[j]
+    and classes are the weights k with f = 1 on weight class k.
     """
-    degree = _orbits(n).degree
-    basis = BitBasis(track=True)
-    for rank, vec in enumerate(_product_columns(n, value_bits, max_level)):
-        pivot, reduced, comb = basis.insert(vec)
-        if pivot is None:
-            raise InvariantViolation(
-                f"unexpected annihilator below the AI cap (rank {rank}, n={n})"
-            )
-        if rank == 0:
-            continue  # the constant column: its solution g = 1 is excluded
-        yield degree[rank], degree[pivot], comb, reduced
+    mask = 0
+    for k in classes:
+        mask ^= layers[k]
+    for row in rows:
+        yield row & mask
+
+
+@functools.lru_cache(maxsize=1)
+def _multiplier_scan(n: int, sides: tuple[int, ...]):
+    """One graded scan of the product maps g -> g*s, one elimination per side s.
+
+    sides holds each side's values on the weight classes.  The product
+    columns of the orbit sums go level by level (degree 0, 1, ...) into one
+    tracked echelon per side, and the scan stops after the first level at
+    which some side has a dependent column.  Returns (level, kernels,
+    columns): level is that level, or None when no side has one; kernels[i]
+    is side i's first dependency there, or None; columns[i] holds the
+    (pivot, reduced, comb) of side i's columns below that level, indexed by
+    orbit rank.  Combinations are orbit-coordinate vectors of g.
+
+    A dependency at rank r is a P-invariant annihilator of its side whose
+    leading orbit is r.  It is the only one with that leading orbit (two
+    would sum to an earlier dependency), so the first dependency is the
+    annihilator of least leading orbit, whatever the build order.
+    """
+    start = _orbits(n).start
+    pieces = _class_product_pieces(n)
+    classes = [tuple(iter_bits(values)) for values in sides]
+    bases = [BitBasis(track=True) for _ in sides]
+    columns = tuple([] for _ in sides)
+    for level in range(n + 1):
+        rows = _class_truth_table(n, level)
+        kernels = [None] * len(sides)
+        for side in range(len(sides)):
+            insert, found = bases[side].insert, columns[side]
+            for vec in _product_columns(rows, pieces[level], classes[side]):
+                step = insert(vec)
+                if step[0] is None:
+                    kernels[side] = step[2]
+                    break
+                found.append(step)
+        if any(kernel is not None for kernel in kernels):
+            return level, tuple(kernels), tuple(tuple(found[: start[level]]) for found in columns)
+    return None, tuple(kernels), tuple(map(tuple, columns))
+
+
+def _pair_scan(n: int, value_bits: int):
+    """The scan of f and f+1, which both share, and the index of f's side in it.
+
+    The pair is keyed with the side whose value at weight 0 is 0 first, so
+    the census, which visits f and f+1 back to back, scans each pair once.
+    """
+    full = (1 << (n + 1)) - 1
+    side = value_bits & 1
+    first = value_bits ^ full if side else value_bits
+    return _multiplier_scan(n, (first, first ^ full)), side
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _zero_span_min_degree(n: int, class_mask: int) -> tuple[int | None, int | None]:
+    """Minimum degree of a nonzero function supported on the given weight classes.
+
+    These functions are the annihilators of the side whose values are the
+    complement of class_mask, so this is the one-sided scan of that side.
+    Returns (degree, orbit-coordinate vector) of the one whose leading
+    orbit is least, or (None, None) when the class set is empty.
+    """
+    level, kernels, _ = _multiplier_scan(n, (((1 << (n + 1)) - 1) ^ class_mask,))
+    return level, kernels[0]
+
+
+def all_zero_set_degrees(n: int) -> dict[int, tuple[int | None, int | None]]:
+    """_zero_span_min_degree for every union of weight classes; keys are class bit masks."""
+    _check_exact_n(n)
+    return {mask: _zero_span_min_degree(n, mask) for mask in range(1 << (n + 1))}
+
+
+def ai_symmetric(f: Sanfv) -> tuple[int, tuple[int, ...]]:
+    """Exact AI with an annihilator witness (monomial masks, graded order).
+
+    The witness annihilates whichever of f, f+1 attains the minimum (f is
+    preferred on ties).
+    """
+    _check_exact_n(f.n)
+    values = to_values(f)
+    f_tt = dense.dense_from_values(values).bits
+    return _ai_with_witness(f.n, values.bits, f_tt)
+
+
+def _ai_with_witness(n: int, value_bits: int, f_tt: int) -> tuple[int, tuple[int, ...]]:
+    """AI and verified annihilator of the symmetric function with these values.
+
+    f_tt is its 2^n-point truth table.  f is preferred over f+1 on ties.
+    """
+    (ai_value, kernels, _), side = _pair_scan(n, value_bits)
+    if kernels[side] is None:
+        side = 1 - side
+    return ai_value, _verify_annihilator(n, f_tt, _orbits(n).expand(kernels[side]), ai_value)
+
+
+def _verify_annihilator(n: int, f_tt: int, anf_bits: int, degree: int) -> tuple[int, ...]:
+    """Check a nonzero annihilator of f or f+1 of the given degree; return its monomial masks."""
+    if anf_bits == 0:
+        raise InvariantViolation("AI witness is the zero function")
+    tt = subset_xor_transform(anf_bits, n)
+    kills_f = tt & f_tt == 0
+    kills_complement = tt & ~f_tt & ((1 << (1 << n)) - 1) == 0
+    if not (kills_f or kills_complement):
+        raise InvariantViolation("AI witness annihilates neither side")
+    masks = graded_masks(anf_bits, n)
+    if masks[-1].bit_count() != degree:
+        raise InvariantViolation(f"AI witness degree differs from the reported AI {degree}")
+    return masks
 
 
 def fai_given_ai(n: int, value_bits: int, f_tt: int, ai_value: int):
     """FAI from a known AI; returns (fai, witness_pair_or_None, capped).
 
-    f_tt is f's 2^n-point truth table.  witness is a pair (g monomial
-    masks, h monomial masks) with h = g*f attaining the minimum; None when
-    only the 2*AI cap term attains it.
+    f_tt is f's 2^n-point truth table.  The pairs are the f-side columns of
+    the scan below the AI: a new pivot at coordinate degree dd, reached by
+    a column of degree e, witnesses the pair value e + dd.  witness is a
+    pair (g monomial masks, h monomial masks) with h = g*f attaining the
+    minimum; None when only the 2*AI cap term attains it.
     """
     if ai_value <= 1:
         return 2 * ai_value, None, True
+    (_, _, columns), side = _pair_scan(n, value_bits)
+    orbits = _orbits(n)
+    degree = orbits.degree
     cap = 2 * ai_value
     best = cap
     best_pair = None
-    for level, pivot_deg, comb, vec in _multiplier_scan(n, value_bits, ai_value - 1):
-        value = level + pivot_deg
+    # rank 0 is the constant column: its solution g = 1 is excluded
+    for rank, (pivot, vec, comb) in enumerate(columns[side][1:], start=1):
+        level = degree[rank]
+        value = level + degree[pivot]
         if value < best:
             best = value
             best_pair = (comb, vec)
@@ -428,38 +421,34 @@ def fai_given_ai(n: int, value_bits: int, f_tt: int, ai_value: int):
             break  # every later pair is worth at least level + 1
     if best_pair is None:
         return best, None, True
-    g_bits, h_bits = (_orbits(n).expand(vec) for vec in best_pair)
-    _verify_pair(n, f_tt, g_bits, h_bits, best)
-    witness = (graded_masks(g_bits, n), graded_masks(h_bits, n))
-    return best, witness, best == cap
+    g_bits, h_bits = (orbits.expand(vec) for vec in best_pair)
+    return best, _verify_pair(n, f_tt, g_bits, h_bits, best), best == cap
 
 
-def _verify_pair(n: int, f_tt: int, g_bits: int, h_bits: int, value: int) -> None:
+def _verify_pair(n: int, f_tt: int, g_bits: int, h_bits: int, value: int):
+    """Check h = g*f with g nonconstant, h nonzero and deg g + deg h = value; return both monomial lists."""
+    if g_bits in (0, 1) or h_bits == 0:
+        raise InvariantViolation("FAI witness pair has a constant g or a zero h")
     g_tt = subset_xor_transform(g_bits, n)
     if subset_xor_transform(h_bits, n) != (g_tt & f_tt):
         raise InvariantViolation("FAI witness pair fails h = g*f")
-    g_deg = dense.DenseAnf(n, g_bits).degree()
-    h_deg = dense.DenseAnf(n, h_bits).degree()
-    if g_bits in (0, 1) or g_deg + h_deg > value:
+    g_masks, h_masks = graded_masks(g_bits, n), graded_masks(h_bits, n)
+    if g_masks[-1].bit_count() + h_masks[-1].bit_count() != value:
         raise InvariantViolation("FAI witness pair does not attain the reported value")
+    return g_masks, h_masks
 
 
 def profile(f: Sanfv) -> ImmunityProfile:
-    """Full immunity profile of a symmetric function."""
-    _check_exact_n(f.n)
-    return profile_from_zero_sets(f, functools.partial(_zero_span_min_degree, f.n))
+    """Full immunity profile of a symmetric function.
 
-
-def profile_from_zero_sets(f: Sanfv, zero_set_degree) -> ImmunityProfile:
-    """Profile of f with its AI read from zero_set_degree (see _ai_with_witness).
-
-    The single path behind profile() and the census: the AI witness is
-    verified, then the FAI scan runs from that AI.  f's truth table is built
-    once and both witnesses are checked against it.
+    The single path behind analyze and the census: the AI witness is
+    verified, then the FAI pairs are read from the same scan.  f's truth
+    table is built once and both witnesses are checked against it.
     """
+    _check_exact_n(f.n)
     values = to_values(f)
     f_tt = dense.dense_from_values(values).bits
-    ai_value, ai_witness = _ai_with_witness(f.n, values.bits, f_tt, zero_set_degree)
+    ai_value, ai_witness = _ai_with_witness(f.n, values.bits, f_tt)
     value, witness, capped = fai_given_ai(f.n, values.bits, f_tt, ai_value)
     return ImmunityProfile(
         f=f,

@@ -12,12 +12,12 @@ import math
 import time
 from dataclasses import dataclass
 
-from . import dense, immunity
+from . import immunity
 from .attacks import bound_suite
 from .errors import CapabilityError
 from .gf2 import iter_bits
 from .immunity import ImmunityProfile
-from .sanfv import Sanfv, _check_n, to_values
+from .sanfv import Sanfv, _check_n
 
 MAX_SEARCH_N = 10
 
@@ -60,7 +60,6 @@ def profile_all(n: int, budget_seconds: float | None = None) -> SearchReport:
     _check_search_cap(n)
 
     start = time.monotonic()
-    zero_set_degree = immunity.all_zero_set_degrees(n).__getitem__
     profiles = []
     violations = []
     max_fai = -1
@@ -73,7 +72,7 @@ def profile_all(n: int, budget_seconds: float | None = None) -> SearchReport:
             if time.monotonic() - start > budget_seconds:
                 raise CapabilityError(f"search budget of {budget_seconds}s exceeded at n={n}")
         f = Sanfv(n, lam)
-        p = immunity.profile_from_zero_sets(f, zero_set_degree)
+        p = immunity.profile(f)
         profiles.append(p)
         report = bound_suite(p)
         for failure in report.failures():
@@ -101,19 +100,15 @@ def profile_all(n: int, budget_seconds: float | None = None) -> SearchReport:
 def find_symmetric_mai(n: int) -> list[Sanfv]:
     """All f in SB_n with maximum algebraic immunity, in SANFV integer order.
 
-    AI is read from one sweep over all weight-class unions; no FAI scan
-    runs, and every AI still comes with a verified annihilator.
+    Only the AI is computed (no FAI pair, no bound suite), and every AI
+    still comes with a verified annihilator.
     """
     _check_n(n)
     _check_search_cap(n)
-    zero_set_degree = immunity.all_zero_set_degrees(n).__getitem__
     mai = []
     for lam in range(1 << (n + 1)):
         f = Sanfv(n, lam)
-        values = to_values(f)
-        f_tt = dense.dense_from_values(values).bits
-        ai, _ = immunity._ai_with_witness(n, values.bits, f_tt, zero_set_degree)
-        if ai == (n + 1) // 2:
+        if immunity.ai_symmetric(f)[0] == (n + 1) // 2:
             mai.append(f)
     return mai
 

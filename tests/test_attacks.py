@@ -230,6 +230,13 @@ def test_gap_statistic_rejects_even_n():
         s.product_degree_gap_statistic(11, 0)
 
 
+def test_gap_statistic_rejects_out_of_range_n():
+    # an odd n past the SANFV limit is a bad request, not an overflow in the sampler
+    for n in (-1, (1 << 16) + 1, 10**20 + 1):
+        with pytest.raises(ValueError, match="variable count"):
+            s.product_degree_gap_statistic(n, 1)
+
+
 # ---------------------------------------------------------------------------
 # certificate integrity
 # ---------------------------------------------------------------------------

@@ -9,9 +9,8 @@ import pytest
 
 import symfai as s
 from symfai import dense, gf2, immunity
-from symfai.errors import CapabilityError
+from symfai.errors import CapabilityError, InvariantViolation
 from symfai.immunity import (
-    _class_delta_echelon,
     _class_product_pieces,
     _class_truth_table,
     _orbits,
@@ -44,29 +43,60 @@ def test_ai_witness_annihilates_a_side():
 
 
 def test_ai_agreement_exhaustive_small():
+    # the witness annihilates f whenever f has an annihilator of degree AI
     for n in range(1, 9):
         for bits in range(1 << (n + 1)):
             f = s.Sanfv(n, bits)
-            assert s.ai_symmetric(f)[0] == s.ai(s.dense_from_sanfv(f))
+            dense_f = s.dense_from_sanfv(f)
+            value, witness = s.ai_symmetric(f)
+            assert value == s.ai(dense_f)
+            g = s.anf_to_table(s.DenseAnf(n, sum(1 << m for m in witness)))
+            kills_f = g.bits & dense_f.bits == 0
+            assert kills_f == (dense.min_annihilator_degree(dense_f)[0] == value), f.to_string()
 
 
 def test_bulk_degree_map_matches_single_route():
-    for n in (5, 6, 7):
+    # the one-sided scan against the dense oracle's annihilator search: the
+    # functions supported on the classes of mask annihilate the symmetric
+    # function whose values are the complement of mask
+    for n in range(1, 8):
+        full = (1 << (n + 1)) - 1
         bulk = all_zero_set_degrees(n)
-        for bits in range(1 << (n + 1)):
-            f = s.Sanfv(n, bits)
-            assert s.ai_symmetric(f)[0] == profile_for(bulk, f)
         for mask in range(1 << (n + 1)):
+            f = s.dense_from_values(s.WeightValueVector(n, full ^ mask))
+            expected = dense.min_annihilator_degree(f)[0]
+            assert _zero_span_min_degree(n, mask)[0] == expected, (n, mask)
             assert bulk[mask] == _zero_span_min_degree(n, mask), (n, mask)
 
 
-def profile_for(bulk, f):
-    full = (1 << (f.n + 1)) - 1
-    v = s.to_values(f).bits
-    d_f = bulk[full ^ v][0]
-    d_fc = bulk[v][0]
-    candidates = [d for d in (d_f, d_fc) if d is not None]
-    return min(candidates)
+def test_ai_verifier_checks_the_reported_degree():
+    f = s.majority(7)
+    f_tt = s.dense_from_sanfv(f).bits
+    value, witness = s.ai_symmetric(f)
+    bits = sum(1 << m for m in witness)
+    immunity._verify_annihilator(f.n, f_tt, bits, value)
+    for wrong in (value - 1, value + 1):
+        with pytest.raises(InvariantViolation):
+            immunity._verify_annihilator(f.n, f_tt, bits, wrong)
+    with pytest.raises(InvariantViolation):
+        immunity._verify_annihilator(f.n, f_tt, 0, value)
+
+
+def test_pair_verifier_checks_the_reported_value():
+    f = s.majority(9)
+    f_tt = s.dense_from_sanfv(f).bits
+    p = s.profile(f)
+    g_bits, h_bits = (sum(1 << m for m in masks) for masks in p.fai_witness)
+    immunity._verify_pair(f.n, f_tt, g_bits, h_bits, p.fai)
+    for wrong in (p.fai - 1, p.fai + 1):
+        with pytest.raises(InvariantViolation):
+            immunity._verify_pair(f.n, f_tt, g_bits, h_bits, wrong)
+    # g = f has the zero product with f+1: the pair (f, 0) must be refused
+    dense_f = s.dense_from_sanfv(f)
+    with pytest.raises(InvariantViolation):
+        immunity._verify_pair(f.n, dense_f.complement().bits, s.moebius(dense_f).bits, 0, p.fai)
+    with pytest.raises(InvariantViolation):
+        immunity._verify_pair(f.n, f_tt, 1, h_bits, p.fai)
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +148,12 @@ def test_product_columns_match_truth_table_route(rng):
         orbits = _orbits(n)
         graded_rank = {m: r for r, m in enumerate(dense.monomials_graded(n))}
         dense_columns = dense._ranked_product_columns(s.dense_from_values(s.WeightValueVector(n, v)), level)
-        columns = list(_product_columns(n, v, level))
+        pieces, classes = _class_product_pieces(n), tuple(gf2.iter_bits(v))
+        columns = [
+            column
+            for j in range(level + 1)
+            for column in _product_columns(_class_truth_table(n, j), pieces[j], classes)
+        ]
         assert len(columns) == orbits.start[level + 1], (n, v)
         for r, column in enumerate(columns):
             expected = 0
@@ -198,7 +233,7 @@ def test_fai_matches_dense_oracle_at_11_and_12():
 def test_table_caches_hold_at_most_two_n():
     for n in range(11, 15):
         s.profile(s.threshold(n, (n + 1) // 2))
-    for cache in (_orbits, _class_truth_table, _class_delta_echelon, _class_product_pieces):
+    for cache in (_orbits, _class_truth_table, _class_product_pieces):
         assert cache.held_n() == (13, 14), cache.__name__
 
 

@@ -68,7 +68,7 @@ def test_profile_matches_census_entry():
 def test_profile_all_verifies_every_ai_witness(monkeypatch):
     from symfai import immunity
 
-    def reject(n, value_bits, anf_bits):
+    def reject(n, f_tt, anf_bits, degree):
         raise InvariantViolation("rejected")
 
     monkeypatch.setattr(immunity, "_verify_annihilator", reject)
