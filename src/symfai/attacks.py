@@ -19,6 +19,7 @@ with the SANFV ring arithmetic and the promised degree bound is checked.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -275,11 +276,12 @@ def bound_suite(profile: ImmunityProfile) -> BoundReport:
     sigma_4 + a*sigma_3 + b*sigma_1 + c at n = 6, which have FAI = 6 = n;
     their failure is reported on purpose.
     """
-    f = profile.f
-    n = f.n
-    d = profile.deg
-    a = profile.ai
-    fai = profile.fai
+    return BoundReport(profile.f, _bound_checks(profile.f.n, profile.deg, profile.ai, profile.fai))
+
+
+@functools.lru_cache(maxsize=256)
+def _bound_checks(n: int, d: int | None, a: int, fai: int) -> tuple[BoundCheck, ...]:
+    """The checks of bound_suite, which read only n, deg, AI and FAI; memoised on them."""
     checks = []
 
     def check(name, applicable, ok, detail=""):
@@ -323,7 +325,7 @@ def bound_suite(profile: ImmunityProfile) -> BoundReport:
 
     check("fai_below_n", n >= 5, fai < n, f"fai={fai} vs n={n}")
     check("fai_cap", True, fai <= 2 * a, f"fai={fai} vs 2*ai={2 * a}")
-    return BoundReport(f, tuple(checks))
+    return tuple(checks)
 
 
 # ---------------------------------------------------------------------------

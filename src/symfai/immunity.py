@@ -52,9 +52,13 @@ tables, a route that shares nothing with the scan; f's truth table is
 built once per profile for both checks.  The reported monomial masks are
 listed in bulk by gf2.graded_masks (a handful of numpy calls per witness,
 no loop over the 2^n bits), and the checks read the witness degrees from
-these lists.  The dense oracle performs the same
-computations over all g from raw truth tables and is used in the test
-suite to cross-check every result.
+these lists.  Few distinct witnesses occur (118 in the 2,048 profiles of
+SB_10), so the expansion, the witness truth table and the listing are
+memoised per distinct orbit vector by bounded caches.  Only values of the
+witness alone are memoised: the checks against f's truth table and the
+reported degrees still run for every function.  The dense oracle performs
+the same computations over all g from raw truth tables and is used in the
+test suite to cross-check every result.
 """
 
 from __future__ import annotations
@@ -355,6 +359,23 @@ def all_zero_set_degrees(n: int) -> dict[int, tuple[int | None, int | None]]:
     return {mask: _zero_span_min_degree(n, mask) for mask in range(1 << (n + 1))}
 
 
+# Memo sizes: the distinct witnesses of a census are 118 at n = 10, 221 at
+# n = 11 and 209 at n = 12, so 256 entries hold a whole census working set.
+_WITNESS_MEMO_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_WITNESS_MEMO_SIZE)
+def _expanded(n: int, vec: int) -> int:
+    """ANF coefficient bits of an orbit-coordinate vector, memoised per distinct vector."""
+    return _orbits(n).expand(vec)
+
+
+@functools.lru_cache(maxsize=_WITNESS_MEMO_SIZE)
+def _witness_tables(n: int, anf_bits: int) -> tuple[int, tuple[int, ...]]:
+    """Truth table and graded monomial masks of a witness, memoised per distinct witness."""
+    return subset_xor_transform(anf_bits, n), graded_masks(anf_bits, n)
+
+
 def ai_symmetric(f: Sanfv) -> tuple[int, tuple[int, ...]]:
     """Exact AI with an annihilator witness (monomial masks, graded order).
 
@@ -375,19 +396,18 @@ def _ai_with_witness(n: int, value_bits: int, f_tt: int) -> tuple[int, tuple[int
     (ai_value, kernels, _), side = _pair_scan(n, value_bits)
     if kernels[side] is None:
         side = 1 - side
-    return ai_value, _verify_annihilator(n, f_tt, _orbits(n).expand(kernels[side]), ai_value)
+    return ai_value, _verify_annihilator(n, f_tt, _expanded(n, kernels[side]), ai_value)
 
 
 def _verify_annihilator(n: int, f_tt: int, anf_bits: int, degree: int) -> tuple[int, ...]:
     """Check a nonzero annihilator of f or f+1 of the given degree; return its monomial masks."""
     if anf_bits == 0:
         raise InvariantViolation("AI witness is the zero function")
-    tt = subset_xor_transform(anf_bits, n)
+    tt, masks = _witness_tables(n, anf_bits)
     kills_f = tt & f_tt == 0
     kills_complement = tt & ~f_tt & ((1 << (1 << n)) - 1) == 0
     if not (kills_f or kills_complement):
         raise InvariantViolation("AI witness annihilates neither side")
-    masks = graded_masks(anf_bits, n)
     if masks[-1].bit_count() != degree:
         raise InvariantViolation(f"AI witness degree differs from the reported AI {degree}")
     return masks
@@ -405,8 +425,7 @@ def fai_given_ai(n: int, value_bits: int, f_tt: int, ai_value: int):
     if ai_value <= 1:
         return 2 * ai_value, None, True
     (_, _, columns), side = _pair_scan(n, value_bits)
-    orbits = _orbits(n)
-    degree = orbits.degree
+    degree = _orbits(n).degree
     cap = 2 * ai_value
     best = cap
     best_pair = None
@@ -421,7 +440,7 @@ def fai_given_ai(n: int, value_bits: int, f_tt: int, ai_value: int):
             break  # every later pair is worth at least level + 1
     if best_pair is None:
         return best, None, True
-    g_bits, h_bits = (orbits.expand(vec) for vec in best_pair)
+    g_bits, h_bits = (_expanded(n, vec) for vec in best_pair)
     return best, _verify_pair(n, f_tt, g_bits, h_bits, best), best == cap
 
 
@@ -429,10 +448,9 @@ def _verify_pair(n: int, f_tt: int, g_bits: int, h_bits: int, value: int):
     """Check h = g*f with g nonconstant, h nonzero and deg g + deg h = value; return both monomial lists."""
     if g_bits in (0, 1) or h_bits == 0:
         raise InvariantViolation("FAI witness pair has a constant g or a zero h")
-    g_tt = subset_xor_transform(g_bits, n)
-    if subset_xor_transform(h_bits, n) != (g_tt & f_tt):
+    (g_tt, g_masks), (h_tt, h_masks) = _witness_tables(n, g_bits), _witness_tables(n, h_bits)
+    if h_tt != g_tt & f_tt:
         raise InvariantViolation("FAI witness pair fails h = g*f")
-    g_masks, h_masks = graded_masks(g_bits, n), graded_masks(h_bits, n)
     if g_masks[-1].bit_count() + h_masks[-1].bit_count() != value:
         raise InvariantViolation("FAI witness pair does not attain the reported value")
     return g_masks, h_masks

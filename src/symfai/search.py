@@ -118,12 +118,17 @@ def write_profiles_jsonl(report: SearchReport, path: str) -> None:
 
     Each profile line holds the bytes of
     json.dumps(p.to_json_dict(), sort_keys=True), written directly: keys in
-    sorted order, and each monomial's text looked up by its mask.
+    sorted order, each monomial's text looked up by its mask, and each
+    distinct witness listed once per write.
     """
     monomial_text = [json.dumps(list(iter_bits(m))) for m in range(1 << report.n)]
+    listings: dict[tuple[int, ...], str] = {}
 
     def listed(masks: tuple[int, ...]) -> str:
-        return "[" + ", ".join([monomial_text[m] for m in masks]) + "]"
+        text = listings.get(masks)
+        if text is None:
+            text = listings[masks] = "[" + ", ".join([monomial_text[m] for m in masks]) + "]"
+        return text
 
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(json.dumps(report.to_json_dict(), sort_keys=True) + "\n")

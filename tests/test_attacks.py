@@ -4,6 +4,7 @@ import pytest
 
 import symfai as s
 from symfai.errors import InvariantViolation
+from symfai.search import profile_all
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +200,21 @@ def test_bound_suite_exhaustive_n5_n7():
         for bits in range(1 << (n + 1)):
             report = s.bound_suite(s.profile(s.Sanfv(n, bits)))
             assert report.all_ok, report.to_json_dict()
+
+
+def test_bound_suite_reports_carry_their_own_f():
+    # the checks are shared by profiles with equal (deg, ai, fai); the
+    # report's f is each profile's own
+    for n in range(1, 9):
+        first = {}
+        for p in profile_all(n).profiles:
+            report = s.bound_suite(p)
+            assert report.f is p.f
+            assert report.to_json_dict()["f"] == p.f.to_string()
+            other = first.setdefault((p.deg, p.ai, p.fai), report)
+            if other is not report:
+                assert report.checks == other.checks
+                assert report.f != other.f
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import symfai as s
-from symfai import dense, gf2, immunity
+from symfai import attacks, dense, gf2, immunity
 from symfai.errors import CapabilityError, InvariantViolation
 from symfai.immunity import (
     _class_product_pieces,
@@ -235,6 +235,42 @@ def test_table_caches_hold_at_most_two_n():
         s.profile(s.threshold(n, (n + 1) // 2))
     for cache in (_orbits, _class_truth_table, _class_product_pieces):
         assert cache.held_n() == (13, 14), cache.__name__
+
+
+def _clear_witness_memos():
+    immunity._expanded.cache_clear()
+    immunity._witness_tables.cache_clear()
+    attacks._bound_checks.cache_clear()
+
+
+def test_witness_memos_leave_profiles_unchanged():
+    for n in range(1, 9):
+        fs = [s.Sanfv(n, bits) for bits in range(1 << (n + 1))]
+        cold = []
+        for f in fs:
+            _clear_witness_memos()
+            cold.append(s.profile(f).to_json_dict())
+        assert [p.to_json_dict() for p in profile_all(n).profiles] == cold, n
+        assert [s.profile(f).to_json_dict() for f in fs] == cold, n
+
+
+def test_witness_memos_are_bounded():
+    memos = (immunity._expanded, immunity._witness_tables, attacks._bound_checks)
+    for memo in memos:
+        assert memo.cache_parameters()["maxsize"] is not None, memo.__name__
+    # a whole census working set fits: 221 distinct witnesses at n = 11
+    assert immunity._expanded.cache_parameters()["maxsize"] >= 221
+    assert immunity._witness_tables.cache_parameters()["maxsize"] >= 221
+    _clear_witness_memos()
+    profile_all(10)
+    # every distinct witness of SB_10 was expanded once and stayed held
+    info = immunity._witness_tables.cache_info()
+    assert info.misses == info.currsize
+    for n in (12, 13, 14):
+        s.bound_suite(s.profile(s.threshold(n, (n + 1) // 2)))
+    for memo in memos:
+        info = memo.cache_info()
+        assert info.currsize <= info.maxsize, memo.__name__
 
 
 def test_courtois_ceiling(rng):

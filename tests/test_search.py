@@ -76,6 +76,54 @@ def test_profile_all_verifies_every_ai_witness(monkeypatch):
         profile_all(3)
 
 
+def _last_repeat(witnesses):
+    """Index of the last entry equal to an earlier one, or None."""
+    seen, last = set(), None
+    for i, witness in enumerate(witnesses):
+        if witness in seen:
+            last = i
+        seen.add(witness)
+    return last
+
+
+def _reject_only(monkeypatch, name, f):
+    """Stub the named verifier so that it rejects f alone and passes every other call on."""
+    from symfai import immunity
+
+    original = getattr(immunity, name)
+    target = s.dense_from_sanfv(f).bits
+
+    def stub(n, f_tt, *args):
+        if f_tt == target:
+            raise InvariantViolation("rejected")
+        return original(n, f_tt, *args)
+
+    monkeypatch.setattr(immunity, name, stub)
+    immunity._expanded.cache_clear()
+    immunity._witness_tables.cache_clear()
+
+
+def test_profile_all_verifies_a_repeated_ai_witness(monkeypatch):
+    # the rejected function's annihilator is already in the witness memos
+    # from an earlier function of the same census, so this fails if a memo
+    # keeps verdicts instead of expansions
+    profiles = profile_all(6).profiles
+    late = _last_repeat([p.ai_witness for p in profiles])
+    assert late is not None
+    _reject_only(monkeypatch, "_verify_annihilator", profiles[late].f)
+    with pytest.raises(InvariantViolation):
+        profile_all(6)
+
+
+def test_profile_all_verifies_a_repeated_fai_pair(monkeypatch):
+    paired = [p for p in profile_all(6).profiles if p.fai_witness is not None]
+    late = _last_repeat([p.fai_witness for p in paired])
+    assert late is not None
+    _reject_only(monkeypatch, "_verify_pair", paired[late].f)
+    with pytest.raises(InvariantViolation):
+        profile_all(6)
+
+
 def test_find_symmetric_mai_9():
     mai = s.find_symmetric_mai(9)
     maj = s.majority(9)
