@@ -20,6 +20,16 @@ are the coordinates: 378 at n = 14 instead of 2^14 monomials.  P is the
 product, over the set bits 2^i of n, of the iterated wreath product
 C2 wr ... wr C2 acting on a block of 2^i consecutive variables.
 
+The row of a point orbit O, against the orbit of a monomial rep R, is the
+parity of #{x in O : x within R}.  O is a product of block orbits and R of
+block reps, so that count is the product of the per-block counts and the
+bit is the AND of the per-block parities.  Each block's parity table comes
+from the wreath recursion: an orbit one level up is a pair a <= b of orbits
+of the halves, and its count against a rep with halves (lo, hi) is
+c(a, lo) * c(b, hi), plus c(b, lo) * c(a, hi) when a != b.  The blocks up
+to n = 31 have at most 231 orbits, so the rows are built from tables of
+orbits only, with no array over the 2^n points.
+
 One scan answers both questions.  For each side s in (f, f+1) the map
 g -> g*s is scanned orbit sum by orbit sum in graded order, both sides
 level by level, each into its own echelon that records which orbit sums
@@ -224,6 +234,33 @@ def _orbits(n: int) -> _Orbits:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _block_parities(level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orbit reps of a block of 2^level variables and their parity table.
+
+    reps lists the least member of each orbit of C2 wr ... wr C2, ascending;
+    table[a, c] is the parity of #{x in orbit a : x within reps[c]}.  Both
+    come from the wreath recursion of the module docstring: the orbit of a
+    pair a <= b of half orbits has rep half_reps[b] | half_reps[a] << 2^(level - 1).
+    Keyed by level only: levels 0..4 (2, 3, 6, 21 and 231 orbits) cover
+    every block up to n = 31.  The arrays are shared, so they are read-only.
+    """
+    if level == 0:
+        reps, table = np.arange(2, dtype=np.int64), np.array([[True, True], [False, True]])
+    else:
+        half_reps, half = _block_parities(level - 1)
+        a, b = np.triu_indices(len(half_reps))
+        reps = half_reps[b] | half_reps[a] << (1 << (level - 1))
+        order = np.argsort(reps)
+        a, b, reps = a[order], b[order], reps[order]
+        # a column's low half is half_reps[b], its high half half_reps[a]
+        same = half[np.ix_(a, b)] & half[np.ix_(b, a)]
+        swapped = half[np.ix_(b, b)] & half[np.ix_(a, a)]
+        table = same ^ (a != b)[:, None] & swapped
+    reps.flags.writeable = table.flags.writeable = False
+    return reps, table
+
+
 @_recent_n_cache
 def _class_truth_table(n: int, k: int) -> tuple[int, ...]:
     """Orbit-coordinate rows of the weight-k point orbits O, in graded order.
@@ -231,15 +268,22 @@ def _class_truth_table(n: int, k: int) -> tuple[int, ...]:
     Row O has bit r set iff an odd number of the points of O lie within the
     monomial reps[r].  It is at once the ANF of the orbit indicator 1_O and
     the truth table of the orbit sum S_O of the monomials in O, both read
-    in orbit coordinates.
+    in orbit coordinates.  O and reps[r] are products over the blocks of P,
+    so that count is the product of the per-block counts and the bit is the
+    AND of the per-block parities from _block_parities.
     """
     orbits = _orbits(n)
     lo, hi = orbits.start[k], orbits.start[k + 1]
-    points = np.flatnonzero((orbits.rank >= lo) & (orbits.rank < hi))
-    points = points[np.argsort(orbits.rank[points], kind="stable")]
-    first = np.searchsorted(orbits.rank[points], np.arange(lo, hi))
-    within = (points[:, None] & orbits.reps) == points[:, None]
-    return tuple(bit_array_to_int(row) for row in np.bitwise_xor.reduceat(within, first, axis=0))
+    within = np.ones((hi - lo, len(orbits.reps)), dtype=bool)
+    shift = 0
+    for level in range(n.bit_length()):
+        if n >> level & 1:
+            width = 1 << level
+            block_reps, table = _block_parities(level)
+            part = np.searchsorted(block_reps, orbits.reps >> shift & ((1 << width) - 1))
+            within &= table[np.ix_(part[lo:hi], part)]
+            shift += width
+    return tuple(bit_array_to_int(row) for row in within)
 
 
 @_recent_n_cache

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ import symfai as s
 from symfai import attacks, dense, gf2, immunity
 from symfai.errors import CapabilityError, InvariantViolation
 from symfai.immunity import (
+    _block_canon,
+    _block_parities,
     _class_product_pieces,
     _class_truth_table,
     _orbits,
@@ -20,7 +23,7 @@ from symfai.immunity import (
 )
 from symfai.search import profile_all
 
-from conftest import fai_brute, graded_reference, json_reference, random_sanfv
+from conftest import fai_brute, graded_reference, json_reference, orbit_rows_reference, random_sanfv
 
 
 def test_ai_symmetric_examples():
@@ -216,6 +219,50 @@ def test_orbit_tables_are_the_sylow_orbits():
         for lo, width in _sylow_swaps(n):
             assert (orbits.rank[_apply_swap(masks, lo, width)] == orbits.rank).all(), (n, lo, width)
     assert len(_orbits(14).reps) == 378
+
+
+def test_orbit_rows_match_the_points_reference():
+    # the per-block parity rule against the rows counted over the points
+    for n in range(1, 15):
+        for k in range(n + 1):
+            assert _class_truth_table(n, k) == orbit_rows_reference(n, k), (n, k)
+
+
+def test_block_parities_match_direct_counting():
+    rng = random.Random(231)
+    for level, count in enumerate((2, 3, 6, 21, 231)):
+        reps, table = _block_parities(level)
+        canon = _block_canon(level)
+        subsets = np.arange(len(canon))
+        assert reps.tolist() == np.flatnonzero(canon == subsets).tolist(), level
+        assert table.shape == (count, count), level
+        # every entry up to level 3, over all 2^(2^level) subsets; a seeded sample at level 4
+        if level <= 3:
+            entries = [(a, c) for a in range(count) for c in range(count)]
+        else:
+            entries = [(rng.randrange(count), rng.randrange(count)) for _ in range(60)]
+        for a, c in entries:
+            members = subsets[canon == reps[a]]
+            assert table[a, c] == np.count_nonzero(members & reps[c] == members) % 2, (level, a, c)
+
+
+def _rows_peak_mb(n):
+    """tracemalloc peak of building every orbit row of n, the orbit tables already held."""
+    _orbits(n)
+    _block_parities.cache_clear()
+    tracemalloc.start()
+    try:
+        for k in range(n + 1):
+            _class_truth_table.__wrapped__(n, k)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_orbit_rows_build_in_bounded_memory():
+    # the points x orbits construction peaked at 11.2 MB at n = 14
+    assert _rows_peak_mb(14) <= 2
+    assert _rows_peak_mb(17) <= 4
 
 
 def test_fai_matches_dense_oracle_at_11_and_12():

@@ -130,6 +130,14 @@ def test_find_symmetric_mai_9():
     assert mai == [maj, s.add(maj, s.Sanfv(9, 1))]
 
 
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_find_symmetric_mai_odd_n_is_majority(n):
+    # Li and Qi (IEEE Trans. Inf. Theory, 2006): for odd n only the majority
+    # function and its complement have maximum AI
+    maj = s.majority(n)
+    assert s.find_symmetric_mai(n) == [maj, s.add(maj, s.Sanfv(n, 1))]
+
+
 def test_find_symmetric_mai_matches_census():
     for n in range(1, 9):
         census = [p.f for p in profile_all(n).profiles if p.ai == (n + 1) // 2]
