@@ -132,14 +132,6 @@ class BitBasis:
     def rank(self) -> int:
         return len(self._rows)
 
-    def copy(self) -> "BitBasis":
-        dup = BitBasis.__new__(BitBasis)
-        dup._rows = dict(self._rows)
-        dup._combs = dict(self._combs)
-        dup._track = self._track
-        dup.count = self.count
-        return dup
-
 
 def gf2_rank(vectors) -> int:
     """Rank over GF(2) of an iterable of int bit vectors."""

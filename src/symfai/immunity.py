@@ -20,15 +20,18 @@ are the coordinates: 378 at n = 14 instead of 2^14 monomials.  P is the
 product, over the set bits 2^i of n, of the iterated wreath product
 C2 wr ... wr C2 acting on a block of 2^i consecutive variables.
 
-The row of a point orbit O, against the orbit of a monomial rep R, is the
-parity of #{x in O : x within R}.  O is a product of block orbits and R of
-block reps, so that count is the product of the per-block counts and the
-bit is the AND of the per-block parities.  Each block's parity table comes
-from the wreath recursion: an orbit one level up is a pair a <= b of orbits
-of the halves, and its count against a rep with halves (lo, hi) is
-c(a, lo) * c(b, hi), plus c(b, lo) * c(a, hi) when a != b.  The blocks up
-to n = 31 have at most 231 orbits, so the rows are built from tables of
-orbits only, with no array over the 2^n points.
+Each block's orbits come from one wreath recursion: an orbit one level up
+is a pair a <= b of orbits of the halves and holds the subsets with one
+half in a and the other in b.  Its count against a rep with halves
+(lo, hi) is c(a, lo) * c(b, hi), plus c(b, lo) * c(a, hi) when a != b.  An
+orbit of P is a tuple of block orbits, one per block, and its least member
+is the union of theirs.  The row of a point orbit O, against the orbit of a
+monomial rep R, is the parity of #{x in O : x within R}; that count is the
+product of the per-block counts, so the bit is the AND of the per-block
+parities.  The blocks up to n = 31 have at most 231 orbits, so the orbits
+and all their rows are built from block tables alone, with no array over
+the 2^n masks.  Only the expansion of a witness to its 2^n ANF coefficient
+bits maps every mask to its orbit.
 
 One scan answers both questions.  For each side s in (f, f+1) the map
 g -> g*s is scanned orbit sum by orbit sum in graded order, both sides
@@ -74,6 +77,7 @@ test suite to cross-check every result.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,110 +149,30 @@ class ImmunityProfile:
 # ---------------------------------------------------------------------------
 
 
-def _recent_n_cache(build):
-    """Memoize build(n, *args), keeping the entries of the two most recent n.
-
-    The per-n tables grow with n, so a process that analyses several n
-    holds at most two n's worth of them.  held_n() lists the n held, least
-    recently used first.
-    """
-    held: dict[int, dict] = {}
-
-    @functools.wraps(build)
-    def cached(n: int, *args):
-        entries = held.pop(n, {})
-        held[n] = entries
-        if len(held) > 2:
-            del held[next(iter(held))]
-        if args not in entries:
-            entries[args] = build(n, *args)
-        return entries[args]
-
-    cached.held_n = lambda: tuple(held)
-    return cached
-
-
-def _block_canon(level: int) -> np.ndarray:
-    """Least orbit member of every subset of a block of 2^level variables.
-
-    The block's group C2 wr ... wr C2 acts on each half by the group one
-    level down and swaps the halves, so the least member of an orbit puts
-    the larger of the halves' least members low and the smaller one high.
-    """
-    canon = np.arange(2, dtype=np.int64)
-    for width in (1 << i for i in range(level)):
-        subsets = np.arange(1 << (2 * width), dtype=np.int64)
-        lo = canon[subsets & ((1 << width) - 1)]
-        hi = canon[subsets >> width]
-        canon = np.maximum(lo, hi) | np.minimum(lo, hi) << width
-    return canon
-
-
-@dataclass(frozen=True, eq=False)
-class _Orbits:
-    """The P-orbits of the monomial masks on n variables, in graded order.
-
-    reps[r] is the least member of orbit r and degree[r] its degree;
-    start[t] is the first rank of degree t, so start[n + 1] counts the
-    orbits; rank[x] is the rank of the orbit that holds mask x.
-    """
-
-    reps: np.ndarray
-    degree: tuple[int, ...]
-    start: tuple[int, ...]
-    rank: np.ndarray
-
-    def expand(self, vec: int) -> int:
-        """ANF coefficient bits (one per monomial mask) of an orbit-coordinate vector."""
-        return bit_array_to_int(int_to_bit_array(vec, len(self.reps))[self.rank])
-
-
-@_recent_n_cache
-def _orbits(n: int) -> _Orbits:
-    """Orbits of P, the product over the set bits 2^i of n of C2 wr ... wr C2.
-
-    Each factor acts on its own block of 2^i consecutive variables (smallest
-    block lowest), so the least member of an orbit is the least member of
-    each block's part, found by one table lookup per block.
-    """
-    masks = np.arange(1 << n, dtype=np.int64)
-    least = np.zeros_like(masks)
-    shift = 0
-    for level in range(n.bit_length()):
-        if n >> level & 1:
-            width = 1 << level
-            least |= _block_canon(level)[masks >> shift & ((1 << width) - 1)] << shift
-            shift += width
-    reps = np.flatnonzero(least == masks)
-    degrees = np.bitwise_count(reps)
-    order = np.lexsort((reps, degrees))
-    reps, degrees = reps[order], degrees[order]
-    rank = np.zeros(1 << n, dtype=np.int64)
-    rank[reps] = np.arange(len(reps))
-    start = np.searchsorted(degrees, np.arange(n + 2))
-    return _Orbits(reps, tuple(degrees.tolist()), tuple(start.tolist()), rank[least])
-
-
-# ---------------------------------------------------------------------------
-# orbit-coordinate tables
-# ---------------------------------------------------------------------------
+def _block_levels(n: int) -> list[int]:
+    """Levels of P's blocks: one block of 2^level variables per set bit of n, smallest first."""
+    return [level for level in range(n.bit_length()) if n >> level & 1]
 
 
 @functools.lru_cache(maxsize=None)
-def _block_parities(level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Orbit reps of a block of 2^level variables and their parity table.
+def _block_parities(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Orbit reps, parity table and subset index of a block of 2^level variables.
 
     reps lists the least member of each orbit of C2 wr ... wr C2, ascending;
-    table[a, c] is the parity of #{x in orbit a : x within reps[c]}.  Both
+    table[a, c] is the parity of #{x in orbit a : x within reps[c]}; index[x]
+    is the orbit of the subset x, for all 2^(2^level) subsets.  All three
     come from the wreath recursion of the module docstring: the orbit of a
-    pair a <= b of half orbits has rep half_reps[b] | half_reps[a] << 2^(level - 1).
-    Keyed by level only: levels 0..4 (2, 3, 6, 21 and 231 orbits) cover
-    every block up to n = 31.  The arrays are shared, so they are read-only.
+    pair a <= b of half orbits has rep half_reps[b] | half_reps[a] << 2^(level - 1),
+    and a subset whose halves lie in half orbits a and b lies in
+    pair[a, b] = pair[b, a].  Keyed by level only: levels 0..4 (2, 3, 6, 21
+    and 231 orbits) cover every block up to n = 31.  The arrays are shared,
+    so they are read-only.
     """
     if level == 0:
         reps, table = np.arange(2, dtype=np.int64), np.array([[True, True], [False, True]])
+        index = reps  # each subset of one variable is its own orbit's rep
     else:
-        half_reps, half = _block_parities(level - 1)
+        half_reps, half, half_index = _block_parities(level - 1)
         a, b = np.triu_indices(len(half_reps))
         reps = half_reps[b] | half_reps[a] << (1 << (level - 1))
         order = np.argsort(reps)
@@ -257,43 +181,106 @@ def _block_parities(level: int) -> tuple[np.ndarray, np.ndarray]:
         same = half[np.ix_(a, b)] & half[np.ix_(b, a)]
         swapped = half[np.ix_(b, b)] & half[np.ix_(a, a)]
         table = same ^ (a != b)[:, None] & swapped
-    reps.flags.writeable = table.flags.writeable = False
-    return reps, table
+        pair = np.empty((len(half_reps), len(half_reps)), dtype=np.int64)
+        pair[a, b] = pair[b, a] = np.arange(len(reps))
+        index = pair[np.ix_(half_index, half_index)].ravel()
+    reps.flags.writeable = table.flags.writeable = index.flags.writeable = False
+    return reps, table, index
 
 
-@_recent_n_cache
+@dataclass(frozen=True, eq=False)
+class _Orbits:
+    """The P-orbits of the monomial masks on n variables, in graded order.
+
+    reps[r] is the least member of orbit r and degree[r] its degree;
+    start[t] is the first rank of degree t, so start[n + 1] counts the
+    orbits.  parts[i][r] is the block-i orbit of orbit r (blocks in the
+    order of _block_levels), an index into _block_parities' reps.  rows[r]
+    is the row of orbit r read as a point orbit O: bit c is the parity of
+    #{x in O : x within reps[c]}.
+    """
+
+    reps: np.ndarray
+    degree: tuple[int, ...]
+    start: tuple[int, ...]
+    parts: tuple[np.ndarray, ...]
+    rows: tuple[int, ...]
+
+    def mask_ranks(self) -> np.ndarray:
+        """Rank of the orbit of each of the 2^n monomial masks, built on each call.
+
+        A mask's block orbits, read in mixed radix with the lowest block
+        least significant, give the same code as the parts of its orbit.
+        """
+        orbit_codes, mask_codes = 0, np.zeros(1, dtype=np.int64)
+        # from the highest block down, as a mask's bits run
+        for level, part in zip(_block_levels(len(self.start) - 2)[::-1], self.parts[::-1]):
+            block_reps, _, index = _block_parities(level)
+            orbit_codes = orbit_codes * len(block_reps) + part
+            mask_codes = np.add.outer(mask_codes * len(block_reps), index).ravel()
+        return np.argsort(orbit_codes)[mask_codes]  # orbit_codes permutes the codes
+
+    def expand(self, vec: int) -> int:
+        """ANF coefficient bits (one per monomial mask) of an orbit-coordinate vector."""
+        return bit_array_to_int(int_to_bit_array(vec, len(self.reps))[self.mask_ranks()])
+
+
+@functools.lru_cache(maxsize=2)
+def _orbits(n: int) -> _Orbits:
+    """Orbits of P, the product over the set bits 2^i of n of C2 wr ... wr C2.
+
+    Each factor acts on its own block of 2^i consecutive variables (smallest
+    block lowest), so an orbit is a tuple of block orbits, one per block, and
+    its least member is the union of their reps.  Its row is the AND over the
+    blocks of their parity tables.  No array runs over the 2^n masks.  Two n
+    are held, so a process that analyses several n keeps at most two n's
+    worth of tables.
+    """
+    levels = _block_levels(n)
+    blocks = [_block_parities(level) for level in levels]
+    counts = [len(block_reps) for block_reps, _, _ in blocks]
+    # every tuple of block orbits, the lowest block least significant
+    parts = np.unravel_index(np.arange(math.prod(counts)), counts[::-1])[::-1]
+    reps = np.zeros(math.prod(counts), dtype=np.int64)
+    shift = 0
+    for level, (block_reps, _, _), part in zip(levels, blocks, parts):
+        reps |= block_reps[part] << shift
+        shift += 1 << level
+    degrees = np.bitwise_count(reps)
+    order = np.lexsort((reps, degrees))
+    reps, degrees, parts = reps[order], degrees[order], tuple(part[order] for part in parts)
+    within = np.ones((len(reps), len(reps)), dtype=bool)
+    for (_, table, _), part in zip(blocks, parts):
+        within &= table[np.ix_(part, part)]
+    start = np.searchsorted(degrees, np.arange(n + 2))
+    rows = tuple(bit_array_to_int(row) for row in within)
+    return _Orbits(reps, tuple(degrees.tolist()), tuple(start.tolist()), parts, rows)
+
+
+# ---------------------------------------------------------------------------
+# orbit-coordinate tables
+# ---------------------------------------------------------------------------
+
+
 def _class_truth_table(n: int, k: int) -> tuple[int, ...]:
     """Orbit-coordinate rows of the weight-k point orbits O, in graded order.
 
     Row O has bit r set iff an odd number of the points of O lie within the
     monomial reps[r].  It is at once the ANF of the orbit indicator 1_O and
     the truth table of the orbit sum S_O of the monomials in O, both read
-    in orbit coordinates.  O and reps[r] are products over the blocks of P,
-    so that count is the product of the per-block counts and the bit is the
-    AND of the per-block parities from _block_parities.
+    in orbit coordinates: a slice of _orbits(n).rows.
     """
     orbits = _orbits(n)
-    lo, hi = orbits.start[k], orbits.start[k + 1]
-    within = np.ones((hi - lo, len(orbits.reps)), dtype=bool)
-    shift = 0
-    for level in range(n.bit_length()):
-        if n >> level & 1:
-            width = 1 << level
-            block_reps, table = _block_parities(level)
-            part = np.searchsorted(block_reps, orbits.reps >> shift & ((1 << width) - 1))
-            within &= table[np.ix_(part[lo:hi], part)]
-            shift += width
-    return tuple(bit_array_to_int(row) for row in within)
+    return orbits.rows[orbits.start[k] : orbits.start[k + 1]]
 
 
-@_recent_n_cache
 def _class_delta_echelon(n: int, k: int) -> tuple[int, ...]:
     """Echelonized ANF span of the weight-k orbit indicators, orbit coordinates."""
     basis = BitBasis()
     return tuple(basis.insert(row)[1] for row in _class_truth_table(n, k))
 
 
-@_recent_n_cache
+@functools.lru_cache(maxsize=2)
 def _class_product_pieces(n: int) -> tuple[tuple[int, ...], ...]:
     """Orbit-coordinate degree-layer masks of (degree-j monomial * class-k indicator).
 

@@ -1,5 +1,6 @@
 """Shared oracle helpers for the test suite."""
 
+import functools
 import random
 
 import numpy as np
@@ -7,7 +8,6 @@ import pytest
 
 import symfai as s
 from symfai.gf2 import bit_array_to_int
-from symfai.immunity import _orbits
 
 
 def fai_brute(f: s.Sanfv) -> tuple[int, int]:
@@ -42,19 +42,61 @@ def json_reference(masks) -> list[list[int]]:
     return [list(iter_bits_reference(m)) for m in masks]
 
 
+def _block_canon(level: int) -> np.ndarray:
+    """Least orbit member of every subset of a block of 2^level variables.
+
+    The block's group C2 wr ... wr C2 acts on each half by the group one
+    level down and swaps the halves, so the least member of an orbit puts
+    the larger of the halves' least members low and the smaller one high.
+    """
+    canon = np.arange(2, dtype=np.int64)
+    for width in (1 << i for i in range(level)):
+        subsets = np.arange(1 << (2 * width), dtype=np.int64)
+        lo = canon[subsets & ((1 << width) - 1)]
+        hi = canon[subsets >> width]
+        canon = np.maximum(lo, hi) | np.minimum(lo, hi) << width
+    return canon
+
+
+@functools.lru_cache(maxsize=None)
+def orbit_rank_reference(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Graded orbit reps and the orbit rank of every mask, by a pass over all 2^n masks.
+
+    The least member of a mask's P-orbit is the least member of each block's
+    part, found by one _block_canon lookup per block (smallest block lowest):
+    the construction the composed block orbits of _orbits(n) replaced.
+    """
+    masks = np.arange(1 << n, dtype=np.int64)
+    least = np.zeros_like(masks)
+    shift = 0
+    for level in range(n.bit_length()):
+        if n >> level & 1:
+            width = 1 << level
+            least |= _block_canon(level)[masks >> shift & ((1 << width) - 1)] << shift
+            shift += width
+    reps = np.flatnonzero(least == masks)
+    reps = reps[np.lexsort((reps, np.bitwise_count(reps)))]
+    rank = np.zeros(1 << n, dtype=np.int64)
+    rank[reps] = np.arange(len(reps))
+    rank = rank[least]
+    reps.flags.writeable = rank.flags.writeable = False
+    return reps, rank
+
+
 def orbit_rows_reference(n: int, k: int) -> tuple[int, ...]:
     """Orbit rows of the weight-k point orbits by their definition, over the points.
 
     Every weight-k point is tested against every orbit rep in one int64
     outer product, then the tests are XOR-reduced per point orbit: the
-    construction the per-block parity tables replaced.
+    construction the per-block parity tables replaced.  The orbits come
+    from orbit_rank_reference, not from the engine's tables.
     """
-    orbits = _orbits(n)
-    lo, hi = orbits.start[k], orbits.start[k + 1]
-    points = np.flatnonzero((orbits.rank >= lo) & (orbits.rank < hi))
-    points = points[np.argsort(orbits.rank[points], kind="stable")]
-    first = np.searchsorted(orbits.rank[points], np.arange(lo, hi))
-    within = (points[:, None] & orbits.reps) == points[:, None]
+    reps, rank = orbit_rank_reference(n)
+    lo, hi = np.searchsorted(np.bitwise_count(reps), [k, k + 1])
+    points = np.flatnonzero((rank >= lo) & (rank < hi))
+    points = points[np.argsort(rank[points], kind="stable")]
+    first = np.searchsorted(rank[points], np.arange(lo, hi))
+    within = (points[:, None] & reps) == points[:, None]
     return tuple(bit_array_to_int(row) for row in np.bitwise_xor.reduceat(within, first, axis=0))
 
 

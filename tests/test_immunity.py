@@ -12,7 +12,6 @@ import symfai as s
 from symfai import attacks, dense, gf2, immunity
 from symfai.errors import CapabilityError, InvariantViolation
 from symfai.immunity import (
-    _block_canon,
     _block_parities,
     _class_product_pieces,
     _class_truth_table,
@@ -23,7 +22,15 @@ from symfai.immunity import (
 )
 from symfai.search import profile_all
 
-from conftest import fai_brute, graded_reference, json_reference, orbit_rows_reference, random_sanfv
+from conftest import (
+    _block_canon,
+    fai_brute,
+    graded_reference,
+    json_reference,
+    orbit_rank_reference,
+    orbit_rows_reference,
+    random_sanfv,
+)
 
 
 def test_ai_symmetric_examples():
@@ -138,7 +145,7 @@ def test_fai_agreement_exhaustive_9_10():
 
 
 def _orbit_members(n, r):
-    return np.flatnonzero(_orbits(n).rank == r).tolist()
+    return np.flatnonzero(orbit_rank_reference(n)[1] == r).tolist()
 
 
 def test_product_columns_match_truth_table_route(rng):
@@ -209,16 +216,26 @@ def test_orbit_tables_are_the_sylow_orbits():
         expected = math.prod(a[level] for level in range(n.bit_length()) if n >> level & 1)
         assert len(orbits.reps) == expected, n
         masks = np.arange(1 << n)
+        rank = orbits.mask_ranks()
         # a partition of all 2^n masks, each orbit led by its least member in graded order
-        assert sorted(set(orbits.rank.tolist())) == list(range(expected)), n
-        assert (orbits.rank[orbits.reps] == np.arange(expected)).all(), n
+        assert sorted(set(rank.tolist())) == list(range(expected)), n
+        assert (rank[orbits.reps] == np.arange(expected)).all(), n
         for r, rep in enumerate(orbits.reps.tolist()):
-            assert min(_orbit_members(n, r)) == rep, (n, r)
+            assert np.flatnonzero(rank == r)[0] == rep, (n, r)
         degrees = [rep.bit_count() for rep in orbits.reps.tolist()]
         assert degrees == sorted(degrees) and tuple(degrees) == orbits.degree, n
         for lo, width in _sylow_swaps(n):
-            assert (orbits.rank[_apply_swap(masks, lo, width)] == orbits.rank).all(), (n, lo, width)
+            assert (rank[_apply_swap(masks, lo, width)] == rank).all(), (n, lo, width)
     assert len(_orbits(14).reps) == 378
+
+
+def test_orbit_tables_match_the_canon_reference():
+    # the orbits composed from block orbits against the pass over all 2^n masks
+    for n in [*range(1, 15), 17]:
+        orbits = _orbits(n)
+        reps, rank = orbit_rank_reference(n)
+        assert orbits.reps.tolist() == reps.tolist(), n
+        assert (orbits.mask_ranks() == rank).all(), n
 
 
 def test_orbit_rows_match_the_points_reference():
@@ -231,10 +248,12 @@ def test_orbit_rows_match_the_points_reference():
 def test_block_parities_match_direct_counting():
     rng = random.Random(231)
     for level, count in enumerate((2, 3, 6, 21, 231)):
-        reps, table = _block_parities(level)
+        reps, table, index = _block_parities(level)
         canon = _block_canon(level)
         subsets = np.arange(len(canon))
         assert reps.tolist() == np.flatnonzero(canon == subsets).tolist(), level
+        # the orbit of every subset, 65,536 of them at level 4
+        assert (reps[index] == canon).all(), level
         assert table.shape == (count, count), level
         # every entry up to level 3, over all 2^(2^level) subsets; a seeded sample at level 4
         if level <= 3:
@@ -247,20 +266,18 @@ def test_block_parities_match_direct_counting():
 
 
 def _rows_peak_mb(n):
-    """tracemalloc peak of building every orbit row of n, the orbit tables already held."""
-    _orbits(n)
+    """tracemalloc peak of building the orbit tables of n, every orbit row included."""
     _block_parities.cache_clear()
     tracemalloc.start()
     try:
-        for k in range(n + 1):
-            _class_truth_table.__wrapped__(n, k)
+        _orbits.__wrapped__(n)
         return tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
 
 
 def test_orbit_rows_build_in_bounded_memory():
-    # the points x orbits construction peaked at 11.2 MB at n = 14
+    # the points x orbits rows peaked at 11.2 MB at n = 14, the 2^n rank pass at 4.5 MB at n = 17
     assert _rows_peak_mb(14) <= 2
     assert _rows_peak_mb(17) <= 4
 
@@ -280,8 +297,11 @@ def test_fai_matches_dense_oracle_at_11_and_12():
 def test_table_caches_hold_at_most_two_n():
     for n in range(11, 15):
         s.profile(s.threshold(n, (n + 1) // 2))
-    for cache in (_orbits, _class_truth_table, _class_product_pieces):
-        assert cache.held_n() == (13, 14), cache.__name__
+    for cache in (_orbits, _class_product_pieces):
+        assert cache.cache_info().currsize == 2, cache.__name__
+        hits = cache.cache_info().hits
+        cache(13), cache(14)
+        assert cache.cache_info().hits == hits + 2, cache.__name__
 
 
 def _clear_witness_memos():
