@@ -135,13 +135,8 @@ def residue_multipliers(f: Sanfv) -> list[AttackCertificate]:
         if not (d >> k) & 1:
             continue  # same residue as the next smaller valid k
         e = d & ((1 << k) - 1)
-        base = d - e
-        g_bits = 1 << e
-        for i in range(e):
-            if f.coefficient(base + i):
-                g_bits ^= 1 << i
-        g_bits ^= 1
-        g = Sanfv(f.n, g_bits)
+        # g = sigma_e + 1 + the block [d - e, d) of lambda shifted down to 0
+        g = Sanfv(f.n, (f.bits >> (d - e) & ((1 << e) - 1)) ^ (1 << e) ^ 1)
         h = mul(g, f)
         hd = h.degree()
         if hd is not None and hd > d - e - 1:
@@ -157,9 +152,15 @@ def residue_multipliers(f: Sanfv) -> list[AttackCertificate]:
     return certificates
 
 
+def _in_window(n: int) -> bool:
+    """Whether 2^m <= n < 2^m + 2^(m-1) - 1 for m = floor(log2 n); empty for m < 2."""
+    m = n.bit_length() - 1
+    return m >= 2 and n < (1 << m) + (1 << (m - 1)) - 1
+
+
 def _window_params(n: int, e: int | None) -> tuple[int, int]:
     m = n.bit_length() - 1
-    if m < 2 or not (1 << m) <= n < (1 << m) + (1 << (m - 1)) - 1:
+    if not _in_window(n):
         raise ValueError(
             f"n={n} is outside the window 2^m <= n < 2^m + 2^(m-1) - 1 with m >= 2"
         )
@@ -272,7 +273,7 @@ def bound_suite(profile: ImmunityProfile) -> BoundReport:
     Every check except `fai_below_n` is a proved property of symmetric
     functions, so its failure is a library defect.  `fai_below_n` (FAI < n
     for n >= 5) is the classical expectation, not a theorem.  Over the
-    census range n <= 10 its only exceptions are the eight functions
+    census range n <= 14 its only exceptions are the eight functions
     sigma_4 + a*sigma_3 + b*sigma_1 + c at n = 6, which have FAI = 6 = n;
     their failure is reported on purpose.
     """
@@ -311,8 +312,8 @@ def _bound_checks(n: int, d: int | None, a: int, fai: int) -> tuple[BoundCheck, 
     else:
         check("mai_degree_lower_bound", False, True, "not MAI")
 
-    m = n.bit_length() - 1
-    if m >= 1 and (1 << m) <= n < (1 << m) + (1 << (m - 1)) - 1:
+    if _in_window(n):
+        m = n.bit_length() - 1
         limit = max((1 << m) - 2, 2 * n - 3 * (1 << (m - 1)) + 2)
         check("fai_window_upper_bound", True, fai <= limit, f"fai={fai} vs {limit}")
     else:

@@ -67,11 +67,11 @@ listed in bulk by gf2.graded_masks (a handful of numpy calls per witness,
 no loop over the 2^n bits), and the checks read the witness degrees from
 these lists.  Few distinct witnesses occur (118 in the 2,048 profiles of
 SB_10), so the expansion, the witness truth table and the listing are
-memoised per distinct orbit vector by bounded caches.  Only values of the
-witness alone are memoised: the checks against f's truth table and the
-reported degrees still run for every function.  The dense oracle performs
-the same computations over all g from raw truth tables and is used in the
-test suite to cross-check every result.
+memoised per distinct orbit vector by one bounded cache, _witness.  Only
+values of the witness alone are memoised: the checks against f's truth
+table and the reported degrees still run for every function.  The dense
+oracle performs the same computations over all g from raw truth tables and
+is used in the test suite to cross-check every result.
 """
 
 from __future__ import annotations
@@ -390,20 +390,12 @@ def all_zero_set_degrees(n: int) -> dict[int, tuple[int | None, int | None]]:
     return {mask: _zero_span_min_degree(n, mask) for mask in range(1 << (n + 1))}
 
 
-# Memo sizes: the distinct witnesses of a census are 118 at n = 10, 221 at
-# n = 11 and 209 at n = 12, so 256 entries hold a whole census working set.
-_WITNESS_MEMO_SIZE = 256
-
-
-@functools.lru_cache(maxsize=_WITNESS_MEMO_SIZE)
-def _expanded(n: int, vec: int) -> int:
-    """ANF coefficient bits of an orbit-coordinate vector, memoised per distinct vector."""
-    return _orbits(n).expand(vec)
-
-
-@functools.lru_cache(maxsize=_WITNESS_MEMO_SIZE)
-def _witness_tables(n: int, anf_bits: int) -> tuple[int, tuple[int, ...]]:
-    """Truth table and graded monomial masks of a witness, memoised per distinct witness."""
+# The distinct witnesses of a census are 118 at n = 10, 221 at n = 11 and
+# 209 at n = 12, so 256 entries hold a whole census working set.
+@functools.lru_cache(maxsize=256)
+def _witness(n: int, vec: int) -> tuple[int, tuple[int, ...]]:
+    """Truth table and graded monomial masks of an orbit-coordinate vector, memoised per distinct vector."""
+    anf_bits = _orbits(n).expand(vec)
     return subset_xor_transform(anf_bits, n), graded_masks(anf_bits, n)
 
 
@@ -416,46 +408,49 @@ def ai_symmetric(f: Sanfv) -> tuple[int, tuple[int, ...]]:
     _check_exact_n(f.n)
     values = to_values(f)
     f_tt = dense.dense_from_values(values).bits
-    return _ai_with_witness(f.n, values.bits, f_tt)
+    return _ai_with_witness(f.n, *_pair_scan(f.n, values.bits), f_tt)
 
 
-def _ai_with_witness(n: int, value_bits: int, f_tt: int) -> tuple[int, tuple[int, ...]]:
-    """AI and verified annihilator of the symmetric function with these values.
+def _ai_with_witness(n: int, scan, side: int, f_tt: int) -> tuple[int, tuple[int, ...]]:
+    """AI and verified annihilator read from f's pair scan, f being side `side` of it.
 
-    f_tt is its 2^n-point truth table.  f is preferred over f+1 on ties.
+    f_tt is f's 2^n-point truth table.  f is preferred over f+1 on ties.
     """
-    (ai_value, kernels, _), side = _pair_scan(n, value_bits)
+    ai_value, kernels, _ = scan
     if kernels[side] is None:
         side = 1 - side
-    return ai_value, _verify_annihilator(n, f_tt, _expanded(n, kernels[side]), ai_value)
+    return ai_value, _verify_annihilator(f_tt, _witness(n, kernels[side]), ai_value)
 
 
-def _verify_annihilator(n: int, f_tt: int, anf_bits: int, degree: int) -> tuple[int, ...]:
-    """Check a nonzero annihilator of f or f+1 of the given degree; return its monomial masks."""
-    if anf_bits == 0:
+def _verify_annihilator(f_tt: int, witness, degree: int) -> tuple[int, ...]:
+    """Check a nonzero annihilator of f or f+1 of the given degree; return its monomial masks.
+
+    witness is the (truth table, graded monomial masks) record of _witness.
+    """
+    tt, masks = witness
+    if masks == ():
         raise InvariantViolation("AI witness is the zero function")
-    tt, masks = _witness_tables(n, anf_bits)
-    kills_f = tt & f_tt == 0
-    kills_complement = tt & ~f_tt & ((1 << (1 << n)) - 1) == 0
-    if not (kills_f or kills_complement):
+    common = tt & f_tt
+    if common and common != tt:  # neither g*f = 0 nor g*(f+1) = 0
         raise InvariantViolation("AI witness annihilates neither side")
     if masks[-1].bit_count() != degree:
         raise InvariantViolation(f"AI witness degree differs from the reported AI {degree}")
     return masks
 
 
-def fai_given_ai(n: int, value_bits: int, f_tt: int, ai_value: int):
-    """FAI from a known AI; returns (fai, witness_pair_or_None, capped).
+def fai_given_ai(n: int, scan, side: int, f_tt: int):
+    """FAI from the pair scan that gave the AI; returns (fai, witness_pair_or_None, capped).
 
-    f_tt is f's 2^n-point truth table.  The pairs are the f-side columns of
-    the scan below the AI: a new pivot at coordinate degree dd, reached by
-    a column of degree e, witnesses the pair value e + dd.  witness is a
-    pair (g monomial masks, h monomial masks) with h = g*f attaining the
-    minimum; None when only the 2*AI cap term attains it.
+    f is side `side` of the scan and f_tt its 2^n-point truth table.  The
+    pairs are the f-side columns of the scan below the AI: a new pivot at
+    coordinate degree dd, reached by a column of degree e, witnesses the
+    pair value e + dd.  witness is a pair (g monomial masks, h monomial
+    masks) with h = g*f attaining the minimum; None when only the 2*AI cap
+    term attains it.
     """
+    ai_value, _, columns = scan
     if ai_value <= 1:
         return 2 * ai_value, None, True
-    (_, _, columns), side = _pair_scan(n, value_bits)
     degree = _orbits(n).degree
     cap = 2 * ai_value
     best = cap
@@ -471,15 +466,18 @@ def fai_given_ai(n: int, value_bits: int, f_tt: int, ai_value: int):
             break  # every later pair is worth at least level + 1
     if best_pair is None:
         return best, None, True
-    g_bits, h_bits = (_expanded(n, vec) for vec in best_pair)
-    return best, _verify_pair(n, f_tt, g_bits, h_bits, best), best == cap
+    g, h = (_witness(n, vec) for vec in best_pair)
+    return best, _verify_pair(f_tt, g, h, best), best == cap
 
 
-def _verify_pair(n: int, f_tt: int, g_bits: int, h_bits: int, value: int):
-    """Check h = g*f with g nonconstant, h nonzero and deg g + deg h = value; return both monomial lists."""
-    if g_bits in (0, 1) or h_bits == 0:
+def _verify_pair(f_tt: int, g, h, value: int):
+    """Check h = g*f with g nonconstant, h nonzero and deg g + deg h = value; return both monomial lists.
+
+    g and h are (truth table, graded monomial masks) records of _witness.
+    """
+    (g_tt, g_masks), (h_tt, h_masks) = g, h
+    if g_masks in ((), (0,)) or h_masks == ():
         raise InvariantViolation("FAI witness pair has a constant g or a zero h")
-    (g_tt, g_masks), (h_tt, h_masks) = _witness_tables(n, g_bits), _witness_tables(n, h_bits)
     if h_tt != g_tt & f_tt:
         raise InvariantViolation("FAI witness pair fails h = g*f")
     if g_masks[-1].bit_count() + h_masks[-1].bit_count() != value:
@@ -490,15 +488,17 @@ def _verify_pair(n: int, f_tt: int, g_bits: int, h_bits: int, value: int):
 def profile(f: Sanfv) -> ImmunityProfile:
     """Full immunity profile of a symmetric function.
 
-    The single path behind analyze and the census: the AI witness is
-    verified, then the FAI pairs are read from the same scan.  f's truth
-    table is built once and both witnesses are checked against it.
+    The single path behind analyze and the census: one lookup of the pair
+    scan, from which the AI witness is verified and then the FAI pairs are
+    read.  f's truth table is built once and both witnesses are checked
+    against it.
     """
     _check_exact_n(f.n)
     values = to_values(f)
     f_tt = dense.dense_from_values(values).bits
-    ai_value, ai_witness = _ai_with_witness(f.n, values.bits, f_tt)
-    value, witness, capped = fai_given_ai(f.n, values.bits, f_tt, ai_value)
+    scan, side = _pair_scan(f.n, values.bits)
+    ai_value, ai_witness = _ai_with_witness(f.n, scan, side, f_tt)
+    value, witness, capped = fai_given_ai(f.n, scan, side, f_tt)
     return ImmunityProfile(
         f=f,
         deg=f.degree(),

@@ -277,16 +277,11 @@ def split(f: Sanfv, k: int) -> SplitForm:
     m = f.n.bit_length() - 1
     if not 1 <= k <= m:
         raise ValueError(f"split level {k} out of range 1..{m}")
-    part_bits = {i: 0 for i in range(k, m + 1)}
-    residue_bits = 0
-    for j in iter_bits(f.bits):
-        if j < (1 << k):
-            residue_bits ^= 1 << j
-        else:
-            i = j.bit_length() - 1
-            part_bits[i] ^= 1 << (j - (1 << i))
-    parts = tuple((i, Sanfv(f.n, part_bits[i])) for i in range(k, m + 1))
-    return SplitForm(k, parts, Sanfv(f.n, residue_bits))
+    # f_i is the block [2^i, 2^(i+1)) of lambda shifted down; the residue is the block below 2^k
+    parts = tuple(
+        (i, Sanfv(f.n, f.bits >> (1 << i) & ((1 << (1 << i)) - 1))) for i in range(k, m + 1)
+    )
+    return SplitForm(k, parts, Sanfv(f.n, f.bits & ((1 << (1 << k)) - 1)))
 
 
 def evaluate(f: Sanfv, x) -> int:

@@ -19,8 +19,6 @@ from .gf2 import iter_bits
 from .immunity import ImmunityProfile
 from .sanfv import Sanfv, _check_n
 
-MAX_SEARCH_N = 10
-
 
 @dataclass(frozen=True)
 class SearchReport:
@@ -47,17 +45,15 @@ class SearchReport:
         }
 
 
-def _check_search_cap(n: int) -> None:
-    if n > MAX_SEARCH_N:
-        raise CapabilityError(f"exhaustive search supports n <= {MAX_SEARCH_N}, got {n}")
-
-
 def profile_all(n: int, budget_seconds: float | None = None) -> SearchReport:
-    """Profile every f in SB_n and aggregate; deterministic."""
+    """Profile every f in SB_n and aggregate; deterministic.
+
+    Above the exact cap of immunity.profile (n <= 14) the first profile
+    raises CapabilityError.
+    """
     _check_n(n)
     if budget_seconds is not None and not math.isfinite(budget_seconds):
         raise ValueError(f"budget must be a finite number of seconds, got {budget_seconds}")
-    _check_search_cap(n)
 
     start = time.monotonic()
     profiles = []
@@ -100,17 +96,10 @@ def profile_all(n: int, budget_seconds: float | None = None) -> SearchReport:
 def find_symmetric_mai(n: int) -> list[Sanfv]:
     """All f in SB_n with maximum algebraic immunity, in SANFV integer order.
 
-    Only the AI is computed (no FAI pair, no bound suite), and every AI
-    still comes with a verified annihilator.
+    This is the MAI list of the census profile_all(n), so every AI comes
+    with a verified annihilator and the same caps apply.
     """
-    _check_n(n)
-    _check_search_cap(n)
-    mai = []
-    for lam in range(1 << (n + 1)):
-        f = Sanfv(n, lam)
-        if immunity.ai_symmetric(f)[0] == (n + 1) // 2:
-            mai.append(f)
-    return mai
+    return [Sanfv.from_string(n, text) for text in profile_all(n).mai_list]
 
 
 def write_profiles_jsonl(report: SearchReport, path: str) -> None:

@@ -138,7 +138,7 @@ def test_csv_format_rejected_by_parser():
 def test_capability_errors_exit_3():
     code, _, err = run_cli(["analyze", "--n", "20", "--f", "sigma:4"])
     assert code == 3 and "capability" in err
-    code, _, _ = run_cli(["search", "--n", "11"])
+    code, _, _ = run_cli(["search", "--n", "15"])
     assert code == 3
 
 

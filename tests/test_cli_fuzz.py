@@ -69,7 +69,7 @@ REQUESTS = {
     "attack": requests(SMALL, [*COMMON, ("--e", numbers(st.integers(-2, 8))), ("--k", numbers(st.integers(-2, 8)))]),
     "convert": requests(SMALL, [OUT]),
     "search": requests(
-        st.one_of(st.integers(-3, 6), st.sampled_from([11, 65537])),
+        st.one_of(st.integers(-3, 6), st.sampled_from([15, 65537])),
         [*COMMON, ("--budget-seconds", st.sampled_from(["nan", "inf", "-1", "0", "x", "1e-9"]))],
         spec=False,
     ),

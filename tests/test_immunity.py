@@ -79,34 +79,40 @@ def test_bulk_degree_map_matches_single_route():
             assert bulk[mask] == _zero_span_min_degree(n, mask), (n, mask)
 
 
+def _record(n, anf_bits):
+    """The witness record that immunity._witness holds: (truth table, graded monomial masks)."""
+    return s.anf_to_table(s.DenseAnf(n, anf_bits)).bits, graded_reference(anf_bits)
+
+
 def test_ai_verifier_checks_the_reported_degree():
     f = s.majority(7)
     f_tt = s.dense_from_sanfv(f).bits
     value, witness = s.ai_symmetric(f)
-    bits = sum(1 << m for m in witness)
-    immunity._verify_annihilator(f.n, f_tt, bits, value)
+    record = _record(f.n, sum(1 << m for m in witness))
+    immunity._verify_annihilator(f_tt, record, value)
     for wrong in (value - 1, value + 1):
         with pytest.raises(InvariantViolation):
-            immunity._verify_annihilator(f.n, f_tt, bits, wrong)
+            immunity._verify_annihilator(f_tt, record, wrong)
     with pytest.raises(InvariantViolation):
-        immunity._verify_annihilator(f.n, f_tt, 0, value)
+        immunity._verify_annihilator(f_tt, _record(f.n, 0), value)
 
 
 def test_pair_verifier_checks_the_reported_value():
     f = s.majority(9)
     f_tt = s.dense_from_sanfv(f).bits
     p = s.profile(f)
-    g_bits, h_bits = (sum(1 << m for m in masks) for masks in p.fai_witness)
-    immunity._verify_pair(f.n, f_tt, g_bits, h_bits, p.fai)
+    g, h = (_record(f.n, sum(1 << m for m in masks)) for masks in p.fai_witness)
+    immunity._verify_pair(f_tt, g, h, p.fai)
     for wrong in (p.fai - 1, p.fai + 1):
         with pytest.raises(InvariantViolation):
-            immunity._verify_pair(f.n, f_tt, g_bits, h_bits, wrong)
+            immunity._verify_pair(f_tt, g, h, wrong)
     # g = f has the zero product with f+1: the pair (f, 0) must be refused
     dense_f = s.dense_from_sanfv(f)
+    f_as_g = _record(f.n, s.moebius(dense_f).bits)
     with pytest.raises(InvariantViolation):
-        immunity._verify_pair(f.n, dense_f.complement().bits, s.moebius(dense_f).bits, 0, p.fai)
+        immunity._verify_pair(dense_f.complement().bits, f_as_g, _record(f.n, 0), p.fai)
     with pytest.raises(InvariantViolation):
-        immunity._verify_pair(f.n, f_tt, 1, h_bits, p.fai)
+        immunity._verify_pair(f_tt, _record(f.n, 1), h, p.fai)
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +310,21 @@ def test_table_caches_hold_at_most_two_n():
         assert cache.cache_info().hits == hits + 2, cache.__name__
 
 
+def test_profile_looks_the_pair_scan_up_once():
+    immunity._multiplier_scan.cache_clear()
+    s.profile(s.majority(9))
+    info = immunity._multiplier_scan.cache_info()
+    assert (info.hits, info.misses) == (0, 1)
+    # the census visits f and f+1 back to back: each of the 256 pairs of
+    # SB_8 is scanned once and reused once
+    immunity._multiplier_scan.cache_clear()
+    profile_all(8)
+    info = immunity._multiplier_scan.cache_info()
+    assert (info.hits, info.misses) == (256, 256)
+
+
 def _clear_witness_memos():
-    immunity._expanded.cache_clear()
-    immunity._witness_tables.cache_clear()
+    immunity._witness.cache_clear()
     attacks._bound_checks.cache_clear()
 
 
@@ -322,16 +340,15 @@ def test_witness_memos_leave_profiles_unchanged():
 
 
 def test_witness_memos_are_bounded():
-    memos = (immunity._expanded, immunity._witness_tables, attacks._bound_checks)
+    memos = (immunity._witness, attacks._bound_checks)
     for memo in memos:
         assert memo.cache_parameters()["maxsize"] is not None, memo.__name__
     # a whole census working set fits: 221 distinct witnesses at n = 11
-    assert immunity._expanded.cache_parameters()["maxsize"] >= 221
-    assert immunity._witness_tables.cache_parameters()["maxsize"] >= 221
+    assert immunity._witness.cache_parameters()["maxsize"] >= 221
     _clear_witness_memos()
     profile_all(10)
     # every distinct witness of SB_10 was expanded once and stayed held
-    info = immunity._witness_tables.cache_info()
+    info = immunity._witness.cache_info()
     assert info.misses == info.currsize
     for n in (12, 13, 14):
         s.bound_suite(s.profile(s.threshold(n, (n + 1) // 2)))

@@ -66,7 +66,12 @@ def test_value_vector_round_trip(fs):
 def test_split_recombines(fs, data):
     (f,) = fs
     k = data.draw(st.integers(1, f.n.bit_length() - 1))
-    assert s.split(f, k).recombine() == f
+    form = s.split(f, k)
+    assert form.recombine() == f
+    # the degree caps that make the split unique
+    for i, part in form.parts:
+        assert part.degree() is None or part.degree() <= (1 << i) - 1
+    assert form.residue.degree() is None or form.residue.degree() <= (1 << k) - 1
 
 
 @PROPERTY

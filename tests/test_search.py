@@ -41,6 +41,11 @@ def test_profile_all_n6_known_exception():
     assert all("fai_below_n" in v for v in report.violations)
 
 
+def test_profile_all_n11_holds_every_bound():
+    # the fai_below_n exceptions stay at n = 6: every check holds on SB_11
+    assert profile_all(11).violations == ()
+
+
 def test_profile_all_enumeration_order():
     report = profile_all(4)
     assert [p.f.bits for p in report.profiles] == list(range(1 << 5))
@@ -54,7 +59,7 @@ def test_profile_all_retains_no_report():
 
 def test_profile_all_limits():
     with pytest.raises(CapabilityError):
-        profile_all(11)
+        profile_all(15)
     with pytest.raises(CapabilityError):
         profile_all(1, budget_seconds=-1.0)
 
@@ -68,7 +73,7 @@ def test_profile_matches_census_entry():
 def test_profile_all_verifies_every_ai_witness(monkeypatch):
     from symfai import immunity
 
-    def reject(n, f_tt, anf_bits, degree):
+    def reject(*args):
         raise InvariantViolation("rejected")
 
     monkeypatch.setattr(immunity, "_verify_annihilator", reject)
@@ -93,14 +98,13 @@ def _reject_only(monkeypatch, name, f):
     original = getattr(immunity, name)
     target = s.dense_from_sanfv(f).bits
 
-    def stub(n, f_tt, *args):
+    def stub(f_tt, *args):
         if f_tt == target:
             raise InvariantViolation("rejected")
-        return original(n, f_tt, *args)
+        return original(f_tt, *args)
 
     monkeypatch.setattr(immunity, name, stub)
-    immunity._expanded.cache_clear()
-    immunity._witness_tables.cache_clear()
+    immunity._witness.cache_clear()
 
 
 def test_profile_all_verifies_a_repeated_ai_witness(monkeypatch):
@@ -130,7 +134,7 @@ def test_find_symmetric_mai_9():
     assert mai == [maj, s.add(maj, s.Sanfv(9, 1))]
 
 
-@pytest.mark.parametrize("n", [3, 5, 7, 9])
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 11])
 def test_find_symmetric_mai_odd_n_is_majority(n):
     # Li and Qi (IEEE Trans. Inf. Theory, 2006): for odd n only the majority
     # function and its complement have maximum AI
@@ -146,7 +150,7 @@ def test_find_symmetric_mai_matches_census():
 
 def test_find_symmetric_mai_limits():
     with pytest.raises(CapabilityError):
-        s.find_symmetric_mai(11)
+        s.find_symmetric_mai(15)
     with pytest.raises(ValueError, match="positive integer"):
         s.find_symmetric_mai(0)
 
