@@ -19,7 +19,6 @@ from .errors import CapabilityError, InvariantViolation
 from .gf2 import (
     BitBasis,
     bit_array_to_int,
-    gf2_rank,
     graded_masks,
     int_to_bit_array,
     iter_bits,
@@ -113,11 +112,7 @@ def dense_degree(f: DenseBooleanFunction) -> int | None:
 
 @functools.lru_cache(maxsize=2)
 def _popcounts(n: int) -> np.ndarray:
-    xs = np.arange(1 << n, dtype=np.uint32)
-    pc = np.zeros(1 << n, dtype=np.uint8)
-    for b in range(n):
-        pc += ((xs >> b) & 1).astype(np.uint8)
-    return pc
+    return np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
 
 
 @functools.lru_cache(maxsize=2)
@@ -285,11 +280,13 @@ class MultiplierSearch:
     """Result of the minimum-degree multiple search for one degree cap e.
 
     ``d`` is the least degree of a nonzero product g*f over nonconstant g
-    with deg(g) <= e, with witnesses g and h = g*f.  When some nonconstant
-    g of degree <= e annihilates f outright, one such g is reported in
-    ``annihilator`` (a vanishing product satisfies any degree bound, so the
-    combined minimum is then 0).  ``d`` is None only when no nonconstant g
-    yields a nonzero product at all, which happens just for f = 0.
+    with deg(g) <= e, with witnesses g and h = g*f, where h has the least
+    leading monomial (graded order) of all such products.  When some
+    nonconstant g of degree <= e annihilates f outright, one such g is
+    reported in ``annihilator`` (a vanishing product satisfies any degree
+    bound, so the combined minimum is then 0).  ``d`` is None only when no
+    nonconstant g yields a nonzero product at all, which happens just for
+    f = 0.
     """
 
     e: int
@@ -318,10 +315,18 @@ def _ranked_product_columns(f: DenseBooleanFunction, e: int) -> list[int]:
 def min_multiplier_degree(f: DenseBooleanFunction, e: int) -> MultiplierSearch:
     """Minimum product degree over nonconstant g with deg(g) <= e.
 
-    The kernel of the map (coefficients of g) -> (coefficients of g*f above
-    degree d) is probed with d binary-searched downward; feasibility of a
-    given d accounts for the solutions that are constant or annihilate f.
-    The returned witnesses are re-verified before returning.
+    One tracked elimination: the product columns m*f (monomials m of
+    degree <= e, graded order) go into an echelon basis whose pivots are
+    highest bits.  A nonzero combination of its rows leads with its highest
+    involved pivot, so the g with deg(g*f) <= d are the combinations of the
+    rows pivoted below degree d plus the kernel, which holds the
+    annihilators.  Every row but the constant column's has a nonconstant
+    combination; that row (g = 1, h = f) counts only when an annihilator k
+    exists, and is then reported as g = 1 + k.  ``d`` is the degree of the
+    least eligible pivot and h = g*f is that row, so h has the least leading
+    monomial of all nonzero products with nonconstant g; the annihilator is
+    the first dependent column's combination.  Both witnesses are
+    re-verified on truth tables before returning.
     """
     n = f.n
     if not 1 <= e < n:
@@ -331,36 +336,32 @@ def min_multiplier_degree(f: DenseBooleanFunction, e: int) -> MultiplierSearch:
         x0 = DenseAnf(n, 1 << 1)  # coefficient mask 1, the monomial x_0
         return MultiplierSearch(e, None, x0, DenseAnf(n, 0), x0)
 
-    cols = _ranked_product_columns(f, e)
-    n_cols = len(cols)
-    deg_f = dense_degree(f)
-    rank_full = gf2_rank(cols)
-    dim_ann = n_cols - rank_full
+    basis = BitBasis(track=True)
+    rows = []  # (pivot, product, combination) of each adopted column
+    kernel = None
+    for col in _ranked_product_columns(f, e):
+        pivot, row, comb = basis.insert(col)
+        if pivot is not None:
+            rows.append((pivot, row, comb))
+        elif kernel is None:
+            kernel = comb
 
-    def feasible(d: int) -> bool:
-        cut = monomial_count_through_degree(n, d)
-        dim_kernel = n_cols - gf2_rank(c >> cut for c in cols)
-        if dim_kernel == dim_ann:
-            return False
-        if dim_ann == 0 and dim_kernel == 1 and deg_f <= d:
-            return False  # the only solution is g = 1
-        return True
-
-    if not feasible(n):
+    eligible = [r for r in rows if r[2] != 1 or kernel is not None]
+    if not eligible:
         raise InvariantViolation(f"no nonvanishing multiple exists for tt={f.bits:#x}")
-    lo, hi = 0, n
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    d = lo
-    if d > 0 and feasible(d - 1):
-        raise InvariantViolation("feasibility is not monotone in d")
+    pivot, row, comb = min(eligible)
+    d = monomials_graded(n)[pivot].bit_count()
+    if comb == 1:
+        comb ^= kernel
+    g = DenseAnf(n, permuted_rank_to_anf_bits(n, comb))
+    h = DenseAnf(n, permuted_rank_to_anf_bits(n, row))
+    _check_multiple(f, g, h, d)
 
-    g, h = _extract_multiplier_witness(f, cols, d)
-    annihilator = _first_nonconstant_annihilator(f, cols) if dim_ann else None
+    annihilator = None
+    if kernel is not None:
+        annihilator = DenseAnf(n, permuted_rank_to_anf_bits(n, kernel))
+        if anf_to_table(annihilator).bits & f.bits:
+            raise InvariantViolation("kernel element is not an annihilator")
     combined = 0 if annihilator is not None else d
     if combined > n - e:
         raise InvariantViolation(
@@ -369,56 +370,10 @@ def min_multiplier_degree(f: DenseBooleanFunction, e: int) -> MultiplierSearch:
     return MultiplierSearch(e, d, g, h, annihilator)
 
 
-def _kernel_combinations(cols: list[int], shift: int):
-    basis = BitBasis(track=True)
-    for col in cols:
-        pivot, _, comb = basis.insert(col >> shift)
-        if pivot is None:
-            yield comb
-
-
-def _first_nonconstant_annihilator(f: DenseBooleanFunction, cols: list[int]) -> DenseAnf:
-    for comb in _kernel_combinations(cols, 0):
-        g = DenseAnf(f.n, permuted_rank_to_anf_bits(f.n, comb))
-        if g.bits != 1:
-            if anf_to_table(g).bits & f.bits:
-                raise InvariantViolation("kernel element is not an annihilator")
-            return g
-    raise InvariantViolation("annihilator space nontrivial but no nonconstant element found")
-
-
-def _extract_multiplier_witness(
-    f: DenseBooleanFunction, cols: list[int], d: int
-) -> tuple[DenseAnf, DenseAnf]:
-    n = f.n
-    cut = monomial_count_through_degree(n, d)
-    constant_solution = False
-    annihilator: DenseAnf | None = None
-    for comb in _kernel_combinations(cols, cut):
-        g = DenseAnf(n, permuted_rank_to_anf_bits(n, comb))
-        h_tt = anf_to_table(g).bits & f.bits
-        if h_tt == 0:
-            annihilator = annihilator or g
-            continue
-        if g.bits == 1:
-            constant_solution = True
-            continue
-        h = moebius(DenseBooleanFunction(n, h_tt))
-        _check_multiple(f, g, h, d)
-        return g, h
-    if constant_solution and annihilator is not None:
-        g = DenseAnf(n, annihilator.bits ^ 1)
-        h = moebius(f)
-        _check_multiple(f, g, h, d)
-        return g, h
-    raise InvariantViolation(f"witness extraction failed at d={d} for tt={f.bits:#x}")
-
-
 def _check_multiple(f: DenseBooleanFunction, g: DenseAnf, h: DenseAnf, d: int) -> None:
     if g.bits in (0, 1):
         raise InvariantViolation("multiplier witness must be nonconstant")
     if anf_to_table(g).bits & f.bits != anf_to_table(h).bits:
         raise InvariantViolation("witness pair does not satisfy h = g*f")
-    hd = h.degree()
-    if hd is not None and hd > d:
-        raise InvariantViolation(f"product degree {hd} exceeds claimed bound {d}")
+    if h.degree() != d:
+        raise InvariantViolation(f"product degree {h.degree()} != claimed {d}")

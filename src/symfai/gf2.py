@@ -127,15 +127,3 @@ class BitBasis:
             if self._track:
                 comb ^= combs[p]
         return None, 0, comb
-
-    @property
-    def rank(self) -> int:
-        return len(self._rows)
-
-
-def gf2_rank(vectors) -> int:
-    """Rank over GF(2) of an iterable of int bit vectors."""
-    basis = BitBasis()
-    for v in vectors:
-        basis.insert(v)
-    return basis.rank

@@ -390,9 +390,10 @@ def all_zero_set_degrees(n: int) -> dict[int, tuple[int | None, int | None]]:
     return {mask: _zero_span_min_degree(n, mask) for mask in range(1 << (n + 1))}
 
 
-# The distinct witnesses of a census are 118 at n = 10, 221 at n = 11 and
-# 209 at n = 12, so 256 entries hold a whole census working set.
-@functools.lru_cache(maxsize=256)
+# The distinct witnesses of a census are 118 at n = 10, 221 at n = 11,
+# 209 at n = 12, 435 at n = 13 and 485 at n = 14, so 512 entries hold a
+# whole census working set.
+@functools.lru_cache(maxsize=512)
 def _witness(n: int, vec: int) -> tuple[int, tuple[int, ...]]:
     """Truth table and graded monomial masks of an orbit-coordinate vector, memoised per distinct vector."""
     anf_bits = _orbits(n).expand(vec)

@@ -8,7 +8,7 @@ import symfai as s
 from symfai import dense
 from symfai.errors import CapabilityError, InvariantViolation
 
-from conftest import random_sanfv
+from conftest import iter_bits_reference, random_sanfv
 
 
 def x_i(n, i):
@@ -210,6 +210,61 @@ def test_min_multiplier_witnesses_verify(rng):
             h = s.moebius(s.dense_mul(s.anf_to_table(result.g), f))
             assert h == result.h
             assert h.degree() == result.d
+
+
+def _naive_table(n, anf_bits):
+    """Truth table of an ANF by its definition, and so (an involution) ANF of a truth table.
+
+    Point x is 1 when an odd number of the ANF's monomials lie inside x.
+    """
+    return sum(
+        1 << x for x in range(1 << n) if sum(x & c == c for c in iter_bits_reference(anf_bits)) & 1
+    )
+
+
+def test_min_multiplier_matches_brute_force():
+    # Every g of degree <= e is enumerated in Gray-code order, so g and the
+    # product h = g*f (ANF in graded coordinates) change by one monomial
+    # column per step.
+    rng = random.Random(14)
+    for n in (2, 3, 4):
+        graded = sorted(range(1 << n), key=lambda c: (c.bit_count(), c))
+        position = {c: r for r, c in enumerate(graded)}
+        for _ in range(12):
+            f = s.DenseBooleanFunction(n, rng.getrandbits(1 << n))
+            for e in range(1, n):
+                monos = [c for c in graded if c.bit_count() <= e]
+                cols = []  # ANF of m*f in graded coordinates, one per monomial m
+                for m in monos:
+                    product_anf = _naive_table(n, _naive_table(n, 1 << m) & f.bits)
+                    cols.append(sum(1 << position[c] for c in iter_bits_reference(product_anf)))
+                # lead: least bit length (leading graded rank + 1) of a nonzero h
+                lead, annihilated = None, False
+                g = h = 0
+                for step in range(1, 1 << len(monos)):
+                    i = (step & -step).bit_length() - 1
+                    g ^= 1 << monos[i]
+                    h ^= cols[i]
+                    if g == 1:
+                        continue
+                    if h == 0:
+                        annihilated = True
+                    elif lead is None or h.bit_length() < lead:
+                        lead = h.bit_length()
+                result = s.min_multiplier_degree(f, e)
+                assert (result.annihilator is not None) == annihilated, (n, f.bits, e)
+                if annihilated:
+                    k = result.annihilator
+                    assert k.bits not in (0, 1) and k.degree() <= e
+                    assert _naive_table(n, k.bits) & f.bits == 0
+                if lead is None:
+                    assert result.d is None
+                    continue
+                assert result.d == graded[lead - 1].bit_count(), (n, f.bits, e)
+                assert result.g.bits not in (0, 1) and result.g.degree() <= e
+                assert _naive_table(n, result.g.bits) & f.bits == _naive_table(n, result.h.bits)
+                h_graded = sum(1 << position[c] for c in iter_bits_reference(result.h.bits))
+                assert h_graded.bit_length() == lead, (n, f.bits, e)
 
 
 def test_min_multiplier_zero_function():
