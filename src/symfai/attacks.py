@@ -122,9 +122,9 @@ def residue_multipliers(f: Sanfv) -> list[AttackCertificate]:
 
     Valid k have 2^k <= deg(f) and 2^k not dividing deg(f); distinct k can
     produce the same residue e and hence the same g, so certificates are
-    emitted once per e, giving wt(deg f) - 1 of them, sorted by e ascending
-    (smallest e first, the strongest attack).  The list is empty when
-    deg(f) <= 1 or deg(f) is a power of 2.
+    emitted once per e, giving wt(deg f) - 1 of them.  e grows with k, so
+    they come in ascending e (smallest e first, the strongest attack).  The
+    list is empty when deg(f) <= 1 or deg(f) is a power of 2.
     """
     d = f.degree()
     if d is None or d < 2 or d & (d - 1) == 0:
@@ -133,7 +133,7 @@ def residue_multipliers(f: Sanfv) -> list[AttackCertificate]:
     lowest = (d & -d).bit_length() - 1
     for k in range(lowest + 1, d.bit_length()):
         if not (d >> k) & 1:
-            continue  # same residue as the next smaller valid k
+            continue  # a clear bit k gives the same residue as k + 1
         e = d & ((1 << k) - 1)
         # g = sigma_e + 1 + the block [d - e, d) of lambda shifted down to 0
         g = Sanfv(f.n, (f.bits >> (d - e) & ((1 << e) - 1)) ^ (1 << e) ^ 1)
@@ -146,7 +146,6 @@ def residue_multipliers(f: Sanfv) -> list[AttackCertificate]:
         certificates.append(
             _certificate(SOURCE_RESIDUE, f, g, h, {"e": e, "t": d >> k, "k": k}, d - 1)
         )
-    certificates.sort(key=lambda c: c.params["e"])
     if len(certificates) != d.bit_count() - 1:
         raise InvariantViolation(f"residue multiplier count is off for deg={d}")
     return certificates
@@ -224,10 +223,8 @@ def all_certificates(f: Sanfv) -> list[AttackCertificate]:
     if d is not None and d % 2 == 1:
         out.append(affine_multiplier(f))
     out.extend(residue_multipliers(f))
-    try:
+    if _in_window(f.n):
         out.append(near_power_certificate(f))
-    except ValueError:
-        pass
     return out
 
 

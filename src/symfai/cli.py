@@ -15,7 +15,7 @@ import sys
 
 from . import attacks, immunity, search
 from .errors import CapabilityError, InvariantViolation
-from .sanfv import parse_function, to_sanfv, to_values, WeightValueVector
+from .sanfv import parse_function, to_values
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -113,10 +113,8 @@ def _run_search(args) -> int:
 
 
 def _run_convert(args) -> int:
-    if args.f.startswith("v:"):
-        out = to_sanfv(WeightValueVector.from_string(args.n, args.f)).to_string()
-    else:
-        out = to_values(parse_function(args.n, args.f)).to_string()
+    f = parse_function(args.n, args.f)
+    out = f.to_string() if args.f.startswith("v:") else to_values(f).to_string()
     _emit(out + "\n", args.out)
     return 0
 

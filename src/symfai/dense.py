@@ -227,7 +227,7 @@ def _annihilator_search(
     """
     n = sides[0].n
     tables = _monomial_tables(n)
-    bases = [BitBasis(track=True) for _ in sides]
+    bases = [BitBasis() for _ in sides]
     for mask in monomials_graded(n):
         tt = tables.truth_table(mask)
         for side, basis in zip(sides, bases):
@@ -315,7 +315,7 @@ def _ranked_product_columns(f: DenseBooleanFunction, e: int) -> list[int]:
 def min_multiplier_degree(f: DenseBooleanFunction, e: int) -> MultiplierSearch:
     """Minimum product degree over nonconstant g with deg(g) <= e.
 
-    One tracked elimination: the product columns m*f (monomials m of
+    One elimination: the product columns m*f (monomials m of
     degree <= e, graded order) go into an echelon basis whose pivots are
     highest bits.  A nonzero combination of its rows leads with its highest
     involved pivot, so the g with deg(g*f) <= d are the combinations of the
@@ -336,7 +336,7 @@ def min_multiplier_degree(f: DenseBooleanFunction, e: int) -> MultiplierSearch:
         x0 = DenseAnf(n, 1 << 1)  # coefficient mask 1, the monomial x_0
         return MultiplierSearch(e, None, x0, DenseAnf(n, 0), x0)
 
-    basis = BitBasis(track=True)
+    basis = BitBasis()
     rows = []  # (pivot, product, combination) of each adopted column
     kernel = None
     for col in _ranked_product_columns(f, e):

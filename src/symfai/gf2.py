@@ -1,8 +1,9 @@
 """Low-level GF(2) bit machinery.
 
-Bit vectors are plain Python ints (bit i = entry i); numpy is used only for
-bulk index shuffles when building lookup tables.  Everything is exact, no
-floating point anywhere.
+Bit vectors are plain Python ints (bit i = entry i).  numpy serves the bulk
+steps: packing and unpacking bit vectors to 0/1 arrays (truth tables,
+lookup tables) and listing the monomial masks of a witness in graded
+order.  Everything is exact, no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ def iter_bits(bits: int):
 
 
 class BitBasis:
-    """Incremental echelon basis of int bit vectors over GF(2).
+    """Incremental echelon basis of int bit vectors over GF(2), with combinations.
 
     The pivot of a stored vector is its highest set bit; pivots are pairwise
     distinct, so any nonzero combination of stored vectors has the highest
@@ -92,17 +93,17 @@ class BitBasis:
     against the basis and either adopts it (returning its pivot) or reports
     linear dependence with pivot ``None``.
 
-    With ``track=True`` each stored vector also carries the combination of
-    inserted vectors that produced it, as a bit mask over insertion indices;
-    on a dependent insert the returned combination reproduces the zero vector.
+    The basis is one dict pivot -> (row, comb), where comb is the
+    combination of inserted vectors that produced the row, as a bit mask
+    over insertion indices: XOR-ing the inserted vectors it names gives the
+    row.  On a dependent insert the returned combination names inserted
+    vectors that XOR to zero.
     """
 
-    __slots__ = ("_rows", "_combs", "_track", "count")
+    __slots__ = ("_rows", "count")
 
-    def __init__(self, track: bool = False):
-        self._rows: dict[int, int] = {}
-        self._combs: dict[int, int] = {}
-        self._track = track
+    def __init__(self):
+        self._rows: dict[int, tuple[int, int]] = {}
         self.count = 0
 
     def insert(self, vec: int) -> tuple[int | None, int, int]:
@@ -111,19 +112,16 @@ class BitBasis:
         Returns (pivot, reduced_vector, combination); pivot is None and the
         reduced vector 0 when ``vec`` depends on earlier insertions.
         """
-        comb = 1 << self.count if self._track else 0
+        comb = 1 << self.count
         self.count += 1
         rows = self._rows
-        combs = self._combs
         while vec:
             p = vec.bit_length() - 1
-            row = rows.get(p)
-            if row is None:
-                rows[p] = vec
-                if self._track:
-                    combs[p] = comb
+            entry = rows.get(p)
+            if entry is None:
+                rows[p] = (vec, comb)
                 return p, vec, comb
+            row, row_comb = entry
             vec ^= row
-            if self._track:
-                comb ^= combs[p]
+            comb ^= row_comb
         return None, 0, comb

@@ -101,7 +101,7 @@ def _monomials_to_json(masks: tuple[int, ...]) -> list[list[int]]:
 
 @dataclass(frozen=True)
 class ImmunityProfile:
-    """Per-function record: degree, AI with annihilator, FAI with multiplier pair.
+    """Per-function record of what the scan found: AI with annihilator, FAI with multiplier pair.
 
     Both witnesses are invariant under the Sylow 2-subgroup P of S_n that
     the scan works over (see the module docstring).  ai_witness annihilates
@@ -109,16 +109,15 @@ class ImmunityProfile:
     P-invariant annihilators of that side it is the one whose leading orbit
     (degree, then least member) is least; no other has the same leading
     orbit.  fai_witness is (g, g*f) for the first pair of the orbit-graded
-    scan that attains the FAI, or None when no pair beats the 2*AI cap.
+    scan that attains the FAI; it is present exactly when the FAI is below
+    the 2*AI cap.  deg and capped are derived from these fields.
     """
 
     f: Sanfv
-    deg: int | None
     ai: int
     ai_witness: tuple[int, ...]
     fai: int
     fai_witness: tuple[tuple[int, ...], tuple[int, ...]] | None
-    capped: bool
 
     def __post_init__(self):
         n = self.f.n
@@ -126,6 +125,20 @@ class ImmunityProfile:
             raise InvariantViolation(f"AI {self.ai} exceeds ceil(n/2) for {self.f!r}")
         if self.fai > 2 * self.ai:
             raise InvariantViolation(f"FAI {self.fai} exceeds the 2*AI cap for {self.f!r}")
+        if (self.fai_witness is None) != self.capped:
+            raise InvariantViolation(
+                f"FAI witness pair must be present exactly when FAI < 2*AI, for {self.f!r}"
+            )
+
+    @property
+    def deg(self) -> int | None:
+        """Algebraic degree of f, None for the zero function."""
+        return self.f.degree()
+
+    @property
+    def capped(self) -> bool:
+        """Whether the FAI is the 2*AI cap, so no multiplier pair beats it."""
+        return self.fai == 2 * self.ai
 
     def to_json_dict(self) -> dict:
         witness = None
@@ -326,8 +339,8 @@ def _multiplier_scan(n: int, sides: tuple[int, ...]):
 
     sides holds each side's values on the weight classes.  The product
     columns of the orbit sums go level by level (degree 0, 1, ...) into one
-    tracked echelon per side, and the scan stops after the first level at
-    which some side has a dependent column.  Returns (level, kernels,
+    echelon per side, and the scan stops after the first level at which
+    some side has a dependent column.  Returns (level, kernels,
     columns): level is that level, or None when no side has one; kernels[i]
     is side i's first dependency there, or None; columns[i] holds the
     (pivot, reduced, comb) of side i's columns below that level, indexed by
@@ -341,7 +354,7 @@ def _multiplier_scan(n: int, sides: tuple[int, ...]):
     start = _orbits(n).start
     pieces = _class_product_pieces(n)
     classes = [tuple(iter_bits(values)) for values in sides]
-    bases = [BitBasis(track=True) for _ in sides]
+    bases = [BitBasis() for _ in sides]
     columns = tuple([] for _ in sides)
     for level in range(n + 1):
         rows = _class_truth_table(n, level)
@@ -403,24 +416,11 @@ def _witness(n: int, vec: int) -> tuple[int, tuple[int, ...]]:
 def ai_symmetric(f: Sanfv) -> tuple[int, tuple[int, ...]]:
     """Exact AI with an annihilator witness (monomial masks, graded order).
 
-    The witness annihilates whichever of f, f+1 attains the minimum (f is
-    preferred on ties).
+    This is (ai, ai_witness) of profile(f): the witness annihilates whichever
+    of f, f+1 attains the minimum (f is preferred on ties).
     """
-    _check_exact_n(f.n)
-    values = to_values(f)
-    f_tt = dense.dense_from_values(values).bits
-    return _ai_with_witness(f.n, *_pair_scan(f.n, values.bits), f_tt)
-
-
-def _ai_with_witness(n: int, scan, side: int, f_tt: int) -> tuple[int, tuple[int, ...]]:
-    """AI and verified annihilator read from f's pair scan, f being side `side` of it.
-
-    f_tt is f's 2^n-point truth table.  f is preferred over f+1 on ties.
-    """
-    ai_value, kernels, _ = scan
-    if kernels[side] is None:
-        side = 1 - side
-    return ai_value, _verify_annihilator(f_tt, _witness(n, kernels[side]), ai_value)
+    p = profile(f)
+    return p.ai, p.ai_witness
 
 
 def _verify_annihilator(f_tt: int, witness, degree: int) -> tuple[int, ...]:
@@ -440,21 +440,20 @@ def _verify_annihilator(f_tt: int, witness, degree: int) -> tuple[int, ...]:
 
 
 def fai_given_ai(n: int, scan, side: int, f_tt: int):
-    """FAI from the pair scan that gave the AI; returns (fai, witness_pair_or_None, capped).
+    """FAI from the pair scan that gave the AI; returns (fai, witness_pair_or_None).
 
     f is side `side` of the scan and f_tt its 2^n-point truth table.  The
     pairs are the f-side columns of the scan below the AI: a new pivot at
     coordinate degree dd, reached by a column of degree e, witnesses the
     pair value e + dd.  witness is a pair (g monomial masks, h monomial
-    masks) with h = g*f attaining the minimum; None when only the 2*AI cap
-    term attains it.
+    masks) with h = g*f attaining the minimum, so it is present exactly
+    when the FAI is below the 2*AI cap; None when only the cap attains it.
     """
     ai_value, _, columns = scan
     if ai_value <= 1:
-        return 2 * ai_value, None, True
+        return 2 * ai_value, None
     degree = _orbits(n).degree
-    cap = 2 * ai_value
-    best = cap
+    best = 2 * ai_value
     best_pair = None
     # rank 0 is the constant column: its solution g = 1 is excluded
     for rank, (pivot, vec, comb) in enumerate(columns[side][1:], start=1):
@@ -466,9 +465,9 @@ def fai_given_ai(n: int, scan, side: int, f_tt: int):
         if best <= level + 1:
             break  # every later pair is worth at least level + 1
     if best_pair is None:
-        return best, None, True
+        return best, None
     g, h = (_witness(n, vec) for vec in best_pair)
-    return best, _verify_pair(f_tt, g, h, best), best == cap
+    return best, _verify_pair(f_tt, g, h, best)
 
 
 def _verify_pair(f_tt: int, g, h, value: int):
@@ -489,26 +488,20 @@ def _verify_pair(f_tt: int, g, h, value: int):
 def profile(f: Sanfv) -> ImmunityProfile:
     """Full immunity profile of a symmetric function.
 
-    The single path behind analyze and the census: one lookup of the pair
-    scan, from which the AI witness is verified and then the FAI pairs are
-    read.  f's truth table is built once and both witnesses are checked
-    against it.
+    The one solve path, behind analyze, the census and ai_symmetric: one
+    lookup of the pair scan, from which the AI witness is verified and then
+    the FAI pairs are read.  The witness is f's first dependency, or f+1's
+    when f has none at the AI.  f's truth table is built once and both
+    witnesses are checked against it.
     """
     _check_exact_n(f.n)
     values = to_values(f)
     f_tt = dense.dense_from_values(values).bits
     scan, side = _pair_scan(f.n, values.bits)
-    ai_value, ai_witness = _ai_with_witness(f.n, scan, side, f_tt)
-    value, witness, capped = fai_given_ai(f.n, scan, side, f_tt)
-    return ImmunityProfile(
-        f=f,
-        deg=f.degree(),
-        ai=ai_value,
-        ai_witness=ai_witness,
-        fai=value,
-        fai_witness=witness,
-        capped=capped,
-    )
+    ai_value, kernels, _ = scan
+    kernel = kernels[side] if kernels[side] is not None else kernels[1 - side]
+    ai_witness = _verify_annihilator(f_tt, _witness(f.n, kernel), ai_value)
+    return ImmunityProfile(f, ai_value, ai_witness, *fai_given_ai(f.n, scan, side, f_tt))
 
 
 def is_aar(f: Sanfv) -> bool:

@@ -165,6 +165,17 @@ def test_all_certificates_aggregator():
     assert sources[-1].startswith("thm5")
 
 
+def test_all_certificates_propagates_window_errors(monkeypatch):
+    # n = 9 is in the window, so a ValueError inside the window construction
+    # is a fault and must not be dropped along with its certificate
+    def broken_split(f, k):
+        raise ValueError("split failed")
+
+    monkeypatch.setattr(s.attacks, "split", broken_split)
+    with pytest.raises(ValueError, match="split failed"):
+        s.all_certificates(s.majority(9))
+
+
 # ---------------------------------------------------------------------------
 # bound suite
 # ---------------------------------------------------------------------------

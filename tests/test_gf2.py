@@ -80,14 +80,18 @@ def test_basis_combination_tracking():
     rng = random.Random(9)
     for _ in range(30):
         vectors = [rng.getrandbits(16) for _ in range(12)]
-        basis = BitBasis(track=True)
+        basis = BitBasis()
         for idx, v in enumerate(vectors):
-            pivot, _, comb = basis.insert(v)
-            if pivot is None:
-                recombined = 0
-                for j in iter_bits(comb):
-                    recombined ^= vectors[j]
-                assert recombined == 0 and (comb >> idx) & 1
+            pivot, row, comb = basis.insert(v)
+            recombined = 0
+            for j in iter_bits(comb):
+                recombined ^= vectors[j]
+            # an adopted row is the XOR of the inserted vectors its comb names;
+            # a dependent insert's comb names vectors that XOR to zero
+            assert recombined == row and (comb >> idx) & 1
+            assert (pivot is None) == (row == 0)
+            if pivot is not None:
+                assert row.bit_length() - 1 == pivot
 
 
 def test_parity_binomial_edge():

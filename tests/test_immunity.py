@@ -1,5 +1,6 @@
 """Exact AI/FAI of symmetric functions, cross-checked against the dense oracle."""
 
+import dataclasses
 import json
 import math
 import random
@@ -382,6 +383,15 @@ def test_profile_fields_majority9():
 def test_profile_capped_flag():
     p = s.profile(s.sigma(4, 1))
     assert p.capped and p.fai == 2 * p.ai
+
+
+def test_profile_witness_presence_matches_cap():
+    below = s.profile(s.majority(9))  # FAI 6 < 2*AI, with a pair
+    capped = s.profile(s.sigma(4, 1))  # FAI = 2*AI, no pair
+    with pytest.raises(InvariantViolation, match="exactly when FAI < 2\\*AI"):
+        dataclasses.replace(below, fai_witness=None)
+    with pytest.raises(InvariantViolation, match="exactly when FAI < 2\\*AI"):
+        dataclasses.replace(capped, fai_witness=below.fai_witness)
 
 
 def test_profile_json_shape_and_determinism():
