@@ -22,12 +22,15 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from types import MappingProxyType
+from typing import TYPE_CHECKING
 
 from .errors import InvariantViolation
 from .immunity import ImmunityProfile
 from .sanfv import Sanfv, _check_n, add, mul, one, sigma, split
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 SOURCE_AFFINE = "thm3"
 SOURCE_RESIDUE = "thm4"
@@ -333,6 +336,13 @@ def _bound_checks(n: int, d: int | None, a: int, fai: int) -> tuple[BoundCheck, 
 
 @dataclass(frozen=True)
 class GapStatistic:
+    """Result of product_degree_gap_statistic: the exact mean gap over the samples.
+
+    mean_gap is a fractions.Fraction.  The fractions module is imported only
+    inside product_degree_gap_statistic (the annotation names it for type
+    checkers alone), so a launch that never runs ``stat`` does not load it.
+    """
+
     n: int
     samples: int
     seed: int
@@ -359,6 +369,8 @@ def product_degree_gap_statistic(n: int, samples: int, seed: int = 0) -> GapStat
     arithmetic, so n can be large.  The mean tends to 4 as n grows, since
     the gap is 2i with probability 2^-i.
     """
+    from fractions import Fraction
+
     _check_n(n)
     if n % 2 == 0:
         raise ValueError(f"the statistic needs odd n, got {n}")

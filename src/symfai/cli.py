@@ -1,10 +1,13 @@
 """Command line front end: analyze, attack, search, convert, tables, stat.
 
 Output is machine-first (JSON, CSV); --format pretty indents the JSON for
-humans.  Identical requests with identical seeds produce byte-identical
-output.  Exit codes: 0 success, 2 bad request, 3 capability or budget
-exceeded, 4 internal invariant violation (the message carries the
-counterexample).
+humans.  The default JSON of analyze is rendered directly from the
+witnesses' monomial masks (search._ProfileRenderer) and is byte-equal to
+json.dumps with sorted keys and compact separators, so no encoder holds
+one token per monomial; --format pretty keeps json.dumps.  Identical
+requests with identical seeds produce byte-identical output.  Exit codes:
+0 success, 2 bad request, 3 capability or budget exceeded, 4 internal
+invariant violation (the message carries the counterexample).
 """
 
 from __future__ import annotations
@@ -63,10 +66,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_COMPACT = (",", ":")
+
+
 def _dump(payload, fmt: str) -> str:
     if fmt == "pretty":
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(payload, sort_keys=True, separators=_COMPACT) + "\n"
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -77,14 +83,26 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _analyze_text(profile, report, fmt: str) -> str:
+    """The analyze payload: the profile's JSON dict plus the bound checks."""
+    bounds = [c.to_json_dict() for c in report.checks]
+    if fmt == "pretty":
+        payload = profile.to_json_dict()
+        payload["bounds"] = bounds
+        payload["bounds_ok"] = report.all_ok
+        return _dump(payload, fmt)
+    extra = (
+        ("bounds", json.dumps(bounds, sort_keys=True, separators=_COMPACT)),
+        ("bounds_ok", "true" if report.all_ok else "false"),
+    )
+    return search._ProfileRenderer(_COMPACT).render(profile, extra)
+
+
 def _run_analyze(args) -> int:
     f = parse_function(args.n, args.f)
     profile = immunity.profile(f)
     report = attacks.bound_suite(profile)
-    payload = profile.to_json_dict()
-    payload["bounds"] = [c.to_json_dict() for c in report.checks]
-    payload["bounds_ok"] = report.all_ok
-    _emit(_dump(payload, args.format), args.out)
+    _emit(_analyze_text(profile, report, args.format), args.out)
     return 0 if report.all_ok else 4
 
 

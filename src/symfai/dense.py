@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import CapabilityError, InvariantViolation
 from .gf2 import (
-    BitBasis,
     bit_array_to_int,
     graded_masks,
     int_to_bit_array,
@@ -210,6 +209,36 @@ def _monomial_tables(n: int) -> _MonomialTables:
 
 
 # ---------------------------------------------------------------------------
+# the oracle's own elimination
+# ---------------------------------------------------------------------------
+
+
+def _echelon_insert(
+    echelon: dict[int, tuple[int, int]], vec: int, comb: int
+) -> tuple[int | None, int, int]:
+    """Reduce vec by the rows of a top-bit echelon and adopt it if independent.
+
+    The echelon maps each pivot (a row's highest set bit) to (row, comb),
+    where comb names, as a bit mask over column indices, the inserted
+    columns that XOR to the row; the caller passes vec's own comb.  While
+    vec's highest bit is a pivot, that row is XOR-ed in.  Returns
+    (pivot, row, comb) for an adopted vec, else (None, 0, comb) with comb
+    naming columns that XOR to zero.  The oracle keeps this elimination to
+    itself: the immunity engine eliminates with gf2.BitBasis, so a fault in
+    one cannot hide in the other.
+    """
+    while vec:
+        pivot = vec.bit_length() - 1
+        entry = echelon.get(pivot)
+        if entry is None:
+            echelon[pivot] = (vec, comb)
+            return pivot, vec, comb
+        vec ^= entry[0]
+        comb ^= entry[1]
+    return None, 0, comb
+
+
+# ---------------------------------------------------------------------------
 # annihilators
 # ---------------------------------------------------------------------------
 
@@ -220,18 +249,18 @@ def _annihilator_search(
     """Least degree of a nonzero g with g*side = 0 for one of the sides, with a witness.
 
     Works column by column: monomials in graded order are restricted to the
-    support of each side and inserted into that side's echelon basis; the
-    first dependent column yields the witness as its recorded combination,
-    checked before it is returned.  (None, None) when no side has an
-    annihilator.
+    support of each side and inserted into that side's own echelon
+    (_echelon_insert, combinations over graded ranks); the first dependent
+    column yields the witness as its recorded combination, checked before it
+    is returned.  (None, None) when no side has an annihilator.
     """
     n = sides[0].n
     tables = _monomial_tables(n)
-    bases = [BitBasis() for _ in sides]
-    for mask in monomials_graded(n):
+    echelons = [{} for _ in sides]
+    for rank, mask in enumerate(monomials_graded(n)):
         tt = tables.truth_table(mask)
-        for side, basis in zip(sides, bases):
-            pivot, _, comb = basis.insert(tt & side.bits)
+        for side, echelon in zip(sides, echelons):
+            pivot, _, comb = _echelon_insert(echelon, tt & side.bits, 1 << rank)
             if pivot is None:
                 witness = DenseAnf(n, permuted_rank_to_anf_bits(n, comb))
                 d = mask.bit_count()
@@ -315,8 +344,8 @@ def _ranked_product_columns(f: DenseBooleanFunction, e: int) -> list[int]:
 def min_multiplier_degree(f: DenseBooleanFunction, e: int) -> MultiplierSearch:
     """Minimum product degree over nonconstant g with deg(g) <= e.
 
-    One elimination: the product columns m*f (monomials m of
-    degree <= e, graded order) go into an echelon basis whose pivots are
+    One elimination: the product columns m*f (monomials m of degree <= e,
+    graded order) go into one echelon (_echelon_insert) whose pivots are
     highest bits.  A nonzero combination of its rows leads with its highest
     involved pivot, so the g with deg(g*f) <= d are the combinations of the
     rows pivoted below degree d plus the kernel, which holds the
@@ -336,11 +365,11 @@ def min_multiplier_degree(f: DenseBooleanFunction, e: int) -> MultiplierSearch:
         x0 = DenseAnf(n, 1 << 1)  # coefficient mask 1, the monomial x_0
         return MultiplierSearch(e, None, x0, DenseAnf(n, 0), x0)
 
-    basis = BitBasis()
+    echelon = {}
     rows = []  # (pivot, product, combination) of each adopted column
     kernel = None
-    for col in _ranked_product_columns(f, e):
-        pivot, row, comb = basis.insert(col)
+    for rank, col in enumerate(_ranked_product_columns(f, e)):
+        pivot, row, comb = _echelon_insert(echelon, col, 1 << rank)
         if pivot is not None:
             rows.append((pivot, row, comb))
         elif kernel is None:

@@ -102,37 +102,75 @@ def find_symmetric_mai(n: int) -> list[Sanfv]:
     return [Sanfv.from_string(n, text) for text in profile_all(n).mai_list]
 
 
+class _ProfileRenderer:
+    """JSON lines of profile records, written directly from the witnesses' masks.
+
+    ``render(p, extra)`` gives the bytes of json.dumps(d, sort_keys=True,
+    separators=separators) plus a newline, where d is p.to_json_dict() with
+    the items of extra added.  It builds neither that dict nor the encoder's
+    token list.  Each distinct witness tuple is listed once: listings are
+    keyed by the tuple's identity, and each entry holds the tuple, so its id
+    is not reused while the renderer lives.  With ``memo_monomials`` each
+    monomial's text is also kept, made the first time a witness holds its
+    mask; that pays off across the many witnesses of a census, while a
+    single render keeps its peak small without it.
+    """
+
+    def __init__(self, separators: tuple[str, str], memo_monomials: bool = False):
+        self.item, self.key = separators
+        self._monomials: dict[int, str] | None = {} if memo_monomials else None
+        self._listings: dict[int, tuple[tuple[int, ...], str]] = {}
+
+    def _listed(self, masks: tuple[int, ...]) -> str:
+        entry = self._listings.get(id(masks))
+        if entry is None:
+            item, memo = self.item, self._monomials
+
+            def text(m: int) -> str:
+                return "[" + item.join(map(str, iter_bits(m))) + "]"
+
+            if memo is None:
+                parts = [text(m) for m in masks]
+            else:
+                parts = [memo.get(m) or memo.setdefault(m, text(m)) for m in masks]
+            entry = self._listings[id(masks)] = (masks, "[" + item.join(parts) + "]")
+        return entry[1]
+
+    def render(self, p: ImmunityProfile, extra: tuple[tuple[str, str], ...] = ()) -> str:
+        """One line of JSON; extra holds (key, JSON text) pairs in key order.
+
+        The keys of extra must sort between "ai_witness" and "capped", as the
+        analyze payload's "bounds" and "bounds_ok" do: that is where they go.
+        """
+        item, key = self.item, self.key
+        if p.fai_witness is None:
+            fai_witness = "null"
+        else:
+            g, h = p.fai_witness
+            fai_witness = f'{{"g"{key}{self._listed(g)}{item}"h"{key}{self._listed(h)}}}'
+        extra_text = "".join([f'{item}"{name}"{key}{text}' for name, text in extra])
+        deg = p.deg
+        return (
+            f'{{"ai"{key}{p.ai}{item}"ai_witness"{key}{self._listed(p.ai_witness)}{extra_text}{item}'
+            f'"capped"{key}{"true" if p.capped else "false"}{item}"deg"{key}{"null" if deg is None else deg}{item}'
+            f'"f"{key}"{p.f.to_string()}"{item}"fai"{key}{p.fai}{item}"fai_witness"{key}{fai_witness}{item}'
+            f'"n"{key}{p.f.n}}}\n'
+        )
+
+
 def write_profiles_jsonl(report: SearchReport, path: str) -> None:
     """Dump one profile per line (stable field order) so reruns can be diffed.
 
-    Each profile line holds the bytes of
-    json.dumps(p.to_json_dict(), sort_keys=True), written directly: keys in
-    sorted order, each monomial's text looked up by its mask, and each
-    distinct witness listed once per write.
+    The first line is the summary; each profile line holds the bytes of
+    json.dumps(p.to_json_dict(), sort_keys=True), rendered by one
+    _ProfileRenderer for the whole file, so each distinct witness is listed,
+    and each monomial's text made, once per write.
     """
-    monomial_text = [json.dumps(list(iter_bits(m))) for m in range(1 << report.n)]
-    listings: dict[tuple[int, ...], str] = {}
-
-    def listed(masks: tuple[int, ...]) -> str:
-        text = listings.get(masks)
-        if text is None:
-            text = listings[masks] = "[" + ", ".join([monomial_text[m] for m in masks]) + "]"
-        return text
-
+    render = _ProfileRenderer((", ", ": "), memo_monomials=True).render
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(json.dumps(report.to_json_dict(), sort_keys=True) + "\n")
         for p in report.profiles:
-            if p.fai_witness is None:
-                fai_witness = "null"
-            else:
-                g, h = p.fai_witness
-                fai_witness = f'{{"g": {listed(g)}, "h": {listed(h)}}}'
-            handle.write(
-                f'{{"ai": {p.ai}, "ai_witness": {listed(p.ai_witness)}, '
-                f'"capped": {"true" if p.capped else "false"}, '
-                f'"deg": {"null" if p.deg is None else p.deg}, "f": "{p.f.to_string()}", '
-                f'"fai": {p.fai}, "fai_witness": {fai_witness}, "n": {p.f.n}}}\n'
-            )
+            handle.write(render(p))
 
 
 # ---------------------------------------------------------------------------

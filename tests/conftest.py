@@ -32,6 +32,22 @@ def iter_bits_reference(bits: int):
         bits ^= low
 
 
+def naive_rank(rows, width: int) -> int:
+    """GF(2) rank of int bit vectors by textbook Gauss-Jordan elimination over the columns."""
+    work = list(rows)
+    rank = 0
+    for col in range(width):
+        pivot = next((i for i in range(rank, len(work)) if (work[i] >> col) & 1), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        for i in range(len(work)):
+            if i != rank and (work[i] >> col) & 1:
+                work[i] ^= work[rank]
+        rank += 1
+    return rank
+
+
 def graded_reference(bits: int) -> tuple[int, ...]:
     """Monomial masks of an ANF in graded order, by the pure-Python definition."""
     return tuple(sorted(iter_bits_reference(bits), key=lambda c: (c.bit_count(), c)))

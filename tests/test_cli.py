@@ -2,12 +2,19 @@
 
 import io
 import json
+import os
+import random
+import subprocess
+import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from symfai.cli import main
+import symfai as s
+from symfai.attacks import bound_suite
+from symfai.cli import _analyze_text, main
 
 
 def run_cli(argv):
@@ -92,11 +99,96 @@ def test_tables_csv_default():
     assert "128-255,128" in out
 
 
+def _analyze_payload(n, spec):
+    """The analyze payload by the encoder's route: to_json_dict() plus the bound checks."""
+    p = s.profile(s.parse_function(n, spec))
+    report = bound_suite(p)
+    payload = p.to_json_dict()
+    payload["bounds"] = [c.to_json_dict() for c in report.checks]
+    payload["bounds_ok"] = report.all_ok
+    return payload, 0 if report.all_ok else 4
+
+
+def _bit_string(n, bits):
+    return "".join(str(bits >> i & 1) for i in range(n + 1))
+
+
+def _renderer_cases():
+    """Every f with n <= 8; each threshold, its complement and four seeded SANFVs at n = 11..14."""
+    cases = [(n, _bit_string(n, lam)) for n in range(1, 9) for lam in range(1 << (n + 1))]
+    rng = random.Random(16)
+    for n in range(11, 15):
+        full = (1 << (n + 1)) - 1
+        for k in range(n + 2):
+            v = s.to_values(s.threshold(n, k)).bits
+            cases += [(n, "v:" + _bit_string(n, v)), (n, "v:" + _bit_string(n, full ^ v))]
+        cases += [(n, _bit_string(n, rng.getrandbits(n + 1))) for _ in range(4)]
+    return cases
+
+
+def test_analyze_json_equals_json_dumps():
+    # the directly rendered default output against the encoder; the cases
+    # must reach every branch of the payload
+    seen = set()
+    for n, spec in _renderer_cases():
+        payload, want_code = _analyze_payload(n, spec)
+        code, out, err = run_cli(["analyze", "--n", str(n), "--f", spec])
+        assert (code, err) == (want_code, ""), (n, spec)
+        assert out == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n", (n, spec)
+        for key in ("deg", "fai_witness"):
+            seen.add((key, payload[key] is None))
+        seen.add(("capped", payload["capped"]))
+        seen.add(("bounds_ok", payload["bounds_ok"]))
+    assert seen == {(key, flag) for key in ("deg", "fai_witness", "capped", "bounds_ok") for flag in (True, False)}
+
+
+@pytest.mark.parametrize(("n", "spec"), [(5, "majority"), (6, "sigma:4"), (8, "000000000"), (14, "v:000000011111111")])
+def test_analyze_out_and_pretty_match_the_encoder(tmp_path, n, spec):
+    payload, want_code = _analyze_payload(n, spec)
+    argv = ["analyze", "--n", str(n), "--f", spec]
+    code, out, _ = run_cli(argv)
+    path = tmp_path / "out.json"
+    assert run_cli([*argv, "--out", str(path)]) == (want_code, "", "")
+    assert code == want_code and path.read_text(encoding="utf-8") == out
+    code, out, _ = run_cli([*argv, "--format", "pretty"])
+    assert code == want_code and out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def _render_peak_mb(f):
+    p = s.profile(f)
+    report = bound_suite(p)
+    tracemalloc.start()
+    try:
+        _analyze_text(p, report, "json")
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_analyze_renders_in_bounded_memory():
+    # json.dumps of the payload peaked at 1.94-2.06 MB here: the encoder
+    # holds one string per token of the 2,838-monomial witness
+    t = s.threshold(14, 7)
+    for f in (t, s.Sanfv(14, t.bits ^ 1)):  # f and f + 1
+        assert _render_peak_mb(f) <= 0.5
+
+
+def test_cli_import_leaves_fractions_and_decimal_unloaded():
+    src = str(Path(s.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, symfai.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_stat_deterministic_bytes():
     args = ["stat", "--n", "21", "--samples", "300", "--seed", "9"]
     first = run_cli(args)
     second = run_cli(args)
     assert first == second and first[0] == 0
+    # the bytes as printed while fractions was imported at module level
+    assert first[1] == '{"mean_gap":"601/150","mean_gap_float":4.006666666666667,"n":21,"samples":300,"seed":9,"vanished":0}\n'
     payload = json.loads(first[1])
     assert payload["samples"] == 300 and payload["seed"] == 9
 
@@ -181,14 +273,8 @@ def test_unwritable_out_path_exits_2(tmp_path, argv):
 
 
 def test_cross_process_determinism(tmp_path):
-    import os
-    import subprocess
-    import sys
-
-    import symfai
-
     # the child imports the same package as this process, however it was found
-    src = str(Path(symfai.__file__).resolve().parents[1])
+    src = str(Path(s.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     outputs = []
     for name in ("a.jsonl", "b.jsonl"):

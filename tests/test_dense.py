@@ -8,11 +8,46 @@ import symfai as s
 from symfai import dense
 from symfai.errors import CapabilityError, InvariantViolation
 
-from conftest import iter_bits_reference, random_sanfv
+from conftest import iter_bits_reference, naive_rank, random_sanfv
 
 
 def x_i(n, i):
     return s.DenseBooleanFunction(n, sum(1 << x for x in range(1 << n) if (x >> i) & 1))
+
+
+def test_echelon_rank_against_naive_elimination():
+    # the oracle's own elimination against the naive reference that also checks gf2.BitBasis
+    rng = random.Random(8)
+    for _ in range(50):
+        rows = [rng.getrandbits(12) for _ in range(rng.randrange(1, 10))]
+        echelon = {}
+        adopted = sum(dense._echelon_insert(echelon, r, 1 << i)[0] is not None for i, r in enumerate(rows))
+        assert adopted == len(echelon) == naive_rank(rows, 12)
+
+
+def test_echelon_combination_tracking():
+    rng = random.Random(9)
+    for _ in range(30):
+        vectors = [rng.getrandbits(16) for _ in range(12)]
+        echelon = {}
+        for idx, v in enumerate(vectors):
+            pivot, row, comb = dense._echelon_insert(echelon, v, 1 << idx)
+            recombined = 0
+            for j in iter_bits_reference(comb):
+                recombined ^= vectors[j]
+            # an adopted row is the XOR of the columns its comb names; a
+            # dependent insert's comb names columns that XOR to zero
+            assert recombined == row and (comb >> idx) & 1
+            assert (pivot is None) == (row == 0)
+            if pivot is not None:
+                assert row.bit_length() - 1 == pivot and echelon[pivot] == (row, comb)
+
+
+def test_oracle_shares_no_elimination_with_the_engine():
+    # gf2.BitBasis is the immunity engine's elimination; the oracle must not reach it
+    assert not hasattr(dense, "BitBasis")
+    for fn in (dense._annihilator_search, dense.min_multiplier_degree):
+        assert "BitBasis" not in fn.__code__.co_names
 
 
 def test_moebius_hand_example():

@@ -1,5 +1,6 @@
 """Exhaustive search harness: reports, MAI census, tables, persistence."""
 
+import dataclasses
 import gc
 import json
 import weakref
@@ -261,3 +262,25 @@ def test_profiles_jsonl_lines_equal_json_dumps(tmp_path):
             seen.add(("fai_witness", p.fai_witness is None))
             seen.add(("capped", p.capped))
     assert seen == {(key, flag) for key in ("deg", "fai_witness", "capped") for flag in (True, False)}
+
+
+def test_profiles_jsonl_lists_equal_but_separate_witnesses(tmp_path):
+    # every profile gets fresh copies of its witness tuples, made as the
+    # writer reaches it and dropped after its line: equal contents under
+    # other identities, and ids that CPython may hand to the next copies
+    report = profile_all(7)
+
+    def copy(masks):
+        return tuple(list(masks))
+
+    def fresh_profiles():
+        for p in report.profiles:
+            pair = None if p.fai_witness is None else (copy(p.fai_witness[0]), copy(p.fai_witness[1]))
+            yield s.ImmunityProfile(p.f, p.ai, copy(p.ai_witness), p.fai, pair)
+
+    path = tmp_path / "fresh.jsonl"
+    write_profiles_jsonl(dataclasses.replace(report, profiles=fresh_profiles()), str(path))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == report.count + 1
+    for line, p in zip(lines[1:], report.profiles):
+        assert line == json.dumps(p.to_json_dict(), sort_keys=True), p.f.to_string()
