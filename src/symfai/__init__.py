@@ -1,100 +1,79 @@
-"""symfai: exact analysis of symmetric Boolean functions against algebraic attacks."""
+"""symfai: exact analysis of symmetric Boolean functions against algebraic attacks.
 
-from .attacks import (
-    AttackCertificate,
-    BoundReport,
-    GapStatistic,
-    affine_multiplier,
-    all_certificates,
-    bound_suite,
-    near_power_certificate,
-    product_degree_gap_statistic,
-    residue_multipliers,
-)
-from .dense import (
-    DenseAnf,
-    DenseBooleanFunction,
-    ai,
-    anf_to_table,
-    dense_degree,
-    dense_from_sanfv,
-    dense_from_values,
-    dense_mul,
-    min_annihilator_degree,
-    min_multiplier_degree,
-    moebius,
-)
-from .errors import CapabilityError, InvariantViolation
-from .immunity import ImmunityProfile, ai_symmetric, is_aar, profile
-from .sanfv import (
-    DecomposedForm,
-    Sanfv,
-    SplitForm,
-    WeightValueVector,
-    add,
-    compose,
-    decompose,
-    evaluate,
-    majority,
-    mul,
-    parse_function,
-    sigma,
-    sigma_product_binomial,
-    split,
-    threshold,
-    to_sanfv,
-    to_values,
-)
-from .search import SearchReport, find_symmetric_mai, profile_all, tables_csv
+The public names resolve lazily through a module ``__getattr__`` (PEP 562):
+importing the package loads none of its modules, and each name imports its
+home module when it is read.  So a CLI command loads only the modules it
+runs, and ``symfai.attacks`` and the other submodules resolve on first use.
+Names are looked up in their home module on every access and never copied
+into this namespace, so a binding replaced there is the one seen here.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AttackCertificate",
-    "BoundReport",
-    "CapabilityError",
-    "DecomposedForm",
-    "DenseAnf",
-    "DenseBooleanFunction",
-    "GapStatistic",
-    "ImmunityProfile",
-    "InvariantViolation",
-    "Sanfv",
-    "SearchReport",
-    "SplitForm",
-    "WeightValueVector",
-    "add",
-    "affine_multiplier",
-    "ai",
-    "ai_symmetric",
-    "all_certificates",
-    "anf_to_table",
-    "bound_suite",
-    "compose",
-    "decompose",
-    "dense_degree",
-    "dense_from_sanfv",
-    "dense_from_values",
-    "dense_mul",
-    "evaluate",
-    "find_symmetric_mai",
-    "is_aar",
-    "majority",
-    "min_annihilator_degree",
-    "min_multiplier_degree",
-    "moebius",
-    "mul",
-    "near_power_certificate",
-    "parse_function",
-    "product_degree_gap_statistic",
-    "profile",
-    "profile_all",
-    "residue_multipliers",
-    "sigma",
-    "sigma_product_binomial",
-    "split",
-    "tables_csv",
-    "threshold",
-    "to_sanfv",
-    "to_values",
-]
+_PUBLIC = {
+    "attacks": (
+        "AttackCertificate",
+        "BoundReport",
+        "GapStatistic",
+        "affine_multiplier",
+        "all_certificates",
+        "bound_suite",
+        "near_power_certificate",
+        "product_degree_gap_statistic",
+        "residue_multipliers",
+    ),
+    "dense": (
+        "DenseAnf",
+        "DenseBooleanFunction",
+        "ai",
+        "anf_to_table",
+        "dense_degree",
+        "dense_from_sanfv",
+        "dense_from_values",
+        "dense_mul",
+        "min_annihilator_degree",
+        "min_multiplier_degree",
+        "moebius",
+    ),
+    "errors": ("CapabilityError", "InvariantViolation"),
+    "immunity": ("ImmunityProfile", "ai_symmetric", "is_aar", "profile"),
+    "sanfv": (
+        "DecomposedForm",
+        "Sanfv",
+        "SplitForm",
+        "WeightValueVector",
+        "add",
+        "compose",
+        "decompose",
+        "evaluate",
+        "majority",
+        "mul",
+        "parse_function",
+        "sigma",
+        "sigma_product_binomial",
+        "split",
+        "threshold",
+        "to_sanfv",
+        "to_values",
+    ),
+    "search": ("SearchReport", "find_symmetric_mai", "profile_all", "tables_csv"),
+}
+
+_HOME = {name: module for module, names in _PUBLIC.items() for name in names}
+_SUBMODULES = frozenset({*_PUBLIC, "cli", "gf2"})
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _HOME:
+        return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -26,11 +26,12 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING
 
 from .errors import InvariantViolation
-from .immunity import ImmunityProfile
 from .sanfv import Sanfv, _check_n, add, mul, one, sigma, split
 
 if TYPE_CHECKING:
     from fractions import Fraction
+
+    from .immunity import ImmunityProfile
 
 SOURCE_AFFINE = "thm3"
 SOURCE_RESIDUE = "thm4"

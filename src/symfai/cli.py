@@ -8,6 +8,11 @@ one token per monomial; --format pretty keeps json.dumps.  Identical
 requests with identical seeds produce byte-identical output.  Exit codes:
 0 success, 2 bad request, 3 capability or budget exceeded, 4 internal
 invariant violation (the message carries the counterexample).
+
+Each handler imports the modules it runs, so a launch compiles only those:
+attack and stat load the SANFV ring and attacks, convert the ring alone,
+and analyze, search and tables the immunity engine and the census.  No
+command loads the dense oracle.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ import argparse
 import json
 import sys
 
-from . import attacks, immunity, search
 from .errors import CapabilityError, InvariantViolation
 from .sanfv import parse_function, to_values
 
@@ -85,6 +89,8 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _analyze_text(profile, report, fmt: str) -> str:
     """The analyze payload: the profile's JSON dict plus the bound checks."""
+    from .search import _ProfileRenderer
+
     bounds = [c.to_json_dict() for c in report.checks]
     if fmt == "pretty":
         payload = profile.to_json_dict()
@@ -95,10 +101,12 @@ def _analyze_text(profile, report, fmt: str) -> str:
         ("bounds", json.dumps(bounds, sort_keys=True, separators=_COMPACT)),
         ("bounds_ok", "true" if report.all_ok else "false"),
     )
-    return search._ProfileRenderer(_COMPACT).render(profile, extra)
+    return _ProfileRenderer(_COMPACT).render(profile, extra)
 
 
 def _run_analyze(args) -> int:
+    from . import attacks, immunity
+
     f = parse_function(args.n, args.f)
     profile = immunity.profile(f)
     report = attacks.bound_suite(profile)
@@ -107,6 +115,8 @@ def _run_analyze(args) -> int:
 
 
 def _run_attack(args) -> int:
+    from . import attacks
+
     f = parse_function(args.n, args.f)
     if args.e is not None:
         certificates = [attacks.near_power_certificate(f, e=args.e)]
@@ -119,6 +129,8 @@ def _run_attack(args) -> int:
 
 
 def _run_search(args) -> int:
+    from . import search
+
     report = search.profile_all(args.n, budget_seconds=args.budget_seconds)
     if args.out:
         search.write_profiles_jsonl(report, args.out)
@@ -138,6 +150,8 @@ def _run_convert(args) -> int:
 
 
 def _run_tables(args) -> int:
+    from . import search
+
     if args.format == "csv":
         _emit(search.tables_csv(), args.out)
     else:
@@ -150,6 +164,8 @@ def _run_tables(args) -> int:
 
 
 def _run_stat(args) -> int:
+    from . import attacks
+
     result = attacks.product_degree_gap_statistic(args.n, args.samples, args.seed)
     _emit(_dump(result.to_json_dict(), args.format), args.out)
     return 0

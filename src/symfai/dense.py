@@ -125,8 +125,9 @@ def dense_from_values(v: WeightValueVector) -> DenseBooleanFunction:
     """Truth table of the symmetric function with the given value vector.
 
     The weight classes are disjoint, so the table is the XOR of the
-    indicators of v's support classes.  This builds f's truth table for the
-    immunity engine's witness checks; it does no elimination.
+    indicators of v's support classes.  This is the oracle's bridge from a
+    value vector to its dense function; the immunity engine builds its own
+    truth tables and does not call it.
     """
     _check_dense_n(v.n)
     tables = _weight_class_tables(v.n)

@@ -62,16 +62,21 @@ visits them back to back, scans each pair once.
 Witnesses are found as orbit-coordinate vectors and expanded to ANF
 coefficient bits only at the end, then re-checked on 2^n-point truth
 tables, a route that shares nothing with the scan; f's truth table is
-built once per profile for both checks.  The reported monomial masks are
-listed in bulk by gf2.graded_masks (a handful of numpy calls per witness,
-no loop over the 2^n bits), and the checks read the witness degrees from
-these lists.  Few distinct witnesses occur (118 in the 2,048 profiles of
-SB_10), so the expansion, the witness truth table and the listing are
-memoised per distinct orbit vector by one bounded cache, _witness.  Only
-values of the witness alone are memoised: the checks against f's truth
-table and the reported degrees still run for every function.  The dense
-oracle performs the same computations over all g from raw truth tables and
-is used in the test suite to cross-check every result.
+built once per profile for both checks, as the OR of the truth tables of
+its support's weight classes, which come from the recursion
+W(m, k) = W(m-1, k) | W(m-1, k-1) << 2^(m-1) on ints.  The reported
+monomial masks are listed in bulk by gf2.graded_masks (a handful of numpy
+calls per witness, no loop over the 2^n bits), and the checks read the
+witness degrees from these lists.  Few distinct witnesses occur (118 in
+the 2,048 profiles of SB_10), so the expansion, the witness truth table
+and the listing are memoised per distinct orbit vector by one bounded
+cache, _witness.  Only values of the witness alone are memoised: the
+checks against f's truth table and the reported degrees still run for
+every function.  The dense oracle (dense.py) performs the same
+computations over all g from raw truth tables and is used in the test
+suite to cross-check every result; this module imports nothing from it.
+MAX_EXACT_N stays at most dense.MAX_DENSE_N, so every exact n is one the
+oracle can check.
 """
 
 from __future__ import annotations
@@ -82,12 +87,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dense
 from .errors import CapabilityError, InvariantViolation
 from .gf2 import BitBasis, bit_array_to_int, graded_masks, int_to_bit_array, iter_bits, subset_xor_transform
 from .sanfv import Sanfv, to_values
 
-MAX_EXACT_N = dense.MAX_DENSE_N
+MAX_EXACT_N = 14
 
 
 def _check_exact_n(n: int) -> None:
@@ -403,6 +407,21 @@ def all_zero_set_degrees(n: int) -> dict[int, tuple[int | None, int | None]]:
     return {mask: _zero_span_min_degree(n, mask) for mask in range(1 << (n + 1))}
 
 
+@functools.lru_cache(maxsize=2)
+def _weight_class_tables(n: int) -> tuple[int, ...]:
+    """Truth table of each weight-class indicator [wt(x) = k], k = 0..n.
+
+    Built on ints by W(m, k) = W(m - 1, k) | W(m - 1, k - 1) << 2^(m - 1):
+    a point of m variables has weight k iff its low m - 1 bits have weight
+    k and bit m - 1 is clear, or weight k - 1 and bit m - 1 is set.
+    """
+    tables = [1]
+    for m in range(1, n + 1):
+        half = 1 << (m - 1)
+        tables = [tables[0], *(tables[k] | tables[k - 1] << half for k in range(1, m)), tables[m - 1] << half]
+    return tuple(tables)
+
+
 # The distinct witnesses of a census are 118 at n = 10, 221 at n = 11,
 # 209 at n = 12, 435 at n = 13 and 485 at n = 14, so 512 entries hold a
 # whole census working set.
@@ -496,7 +515,10 @@ def profile(f: Sanfv) -> ImmunityProfile:
     """
     _check_exact_n(f.n)
     values = to_values(f)
-    f_tt = dense.dense_from_values(values).bits
+    tables = _weight_class_tables(f.n)
+    f_tt = 0
+    for k in iter_bits(values.bits):
+        f_tt |= tables[k]
     scan, side = _pair_scan(f.n, values.bits)
     ai_value, kernels, _ = scan
     kernel = kernels[side] if kernels[side] is not None else kernels[1 - side]

@@ -1,13 +1,24 @@
 """Shared oracle helpers for the test suite."""
 
 import functools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import symfai as s
 from symfai.gf2 import bit_array_to_int
+
+
+def run_python(*args: str, **kwargs) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a fresh interpreter that imports the same symfai as this process."""
+    src = str(Path(s.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=120, **kwargs)
 
 
 def fai_brute(f: s.Sanfv) -> tuple[int, int]:

@@ -2,19 +2,17 @@
 
 import io
 import json
-import os
 import random
-import subprocess
-import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
-from pathlib import Path
 
 import pytest
 
 import symfai as s
 from symfai.attacks import bound_suite
 from symfai.cli import _analyze_text, main
+
+from conftest import run_python
 
 
 def run_cli(argv):
@@ -174,12 +172,46 @@ def test_analyze_renders_in_bounded_memory():
 
 
 def test_cli_import_leaves_fractions_and_decimal_unloaded():
-    src = str(Path(s.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = "import sys, symfai.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    proc = run_python("-c", code, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+_RING = {"cli", "errors", "gf2", "sanfv"}
+_ENGINE = _RING | {"attacks", "immunity", "search"}
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        (["attack", "--n", "9", "--f", "majority"], _RING | {"attacks"}),
+        (["stat", "--n", "9", "--samples", "2"], _RING | {"attacks"}),
+        (["convert", "--n", "9", "--f", "majority"], _RING),
+        (["analyze", "--n", "8", "--f", "v:111110000"], _ENGINE),
+        (["search", "--n", "4"], _ENGINE),
+        (["tables"], _ENGINE),
+    ],
+    ids=["attack", "stat", "convert", "analyze", "search", "tables"],
+)
+def test_each_command_loads_only_the_modules_it_runs(argv, modules):
+    # a fresh interpreter per command: this process has loaded every module
+    code = (
+        "import io, json, sys, contextlib\n"
+        "from symfai.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(sys.argv[1:])\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('symfai.'))]))\n"
+    )
+    proc = run_python("-c", code, *argv, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, sorted(f"symfai.{m}" for m in modules)]
+
+
+def test_immunity_does_not_load_the_dense_oracle():
+    proc = run_python("-c", "import sys, symfai.immunity; print('symfai.dense' in sys.modules)", text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_stat_deterministic_bytes():
@@ -273,18 +305,10 @@ def test_unwritable_out_path_exits_2(tmp_path, argv):
 
 
 def test_cross_process_determinism(tmp_path):
-    # the child imports the same package as this process, however it was found
-    src = str(Path(s.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     outputs = []
     for name in ("a.jsonl", "b.jsonl"):
         path = tmp_path / name
-        proc = subprocess.run(
-            [sys.executable, "-m", "symfai.cli", "search", "--n", "4", "--out", str(path)],
-            capture_output=True,
-            env=env,
-            timeout=120,
-        )
+        proc = run_python("-m", "symfai.cli", "search", "--n", "4", "--out", str(path))
         assert proc.returncode == 0, proc.stderr.decode()
         outputs.append(path.read_bytes())
     assert outputs[0] == outputs[1]

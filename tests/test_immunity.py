@@ -116,6 +116,28 @@ def test_pair_verifier_checks_the_reported_value():
         immunity._verify_pair(f_tt, _record(f.n, 1), h, p.fai)
 
 
+def test_weight_class_tables_match_the_oracle():
+    # the engine builds f's truth table without the dense oracle; this ties
+    # the two, and every n the engine answers is one the oracle can check
+    assert immunity.MAX_EXACT_N <= dense.MAX_DENSE_N
+    for n in range(1, immunity.MAX_EXACT_N + 1):
+        assert immunity._weight_class_tables(n) == dense._weight_class_tables(n), n
+
+
+def test_profile_checks_both_witnesses_against_fs_truth_table(monkeypatch):
+    f = s.majority(9)  # values 1 on weights 5..9
+    real = immunity._weight_class_tables(f.n)
+    # weight 5 read as weight 4: the AI witness annihilates neither side
+    moved = real[:5] + real[4:5] + real[6:]
+    monkeypatch.setattr(immunity, "_weight_class_tables", lambda n: moved)
+    with pytest.raises(InvariantViolation, match="annihilates neither side"):
+        s.profile(f)
+    # the zero table: every g annihilates it, and no nonzero h is g*f
+    monkeypatch.setattr(immunity, "_weight_class_tables", lambda n: (0,) * (n + 1))
+    with pytest.raises(InvariantViolation, match="fails h = g"):
+        s.profile(f)
+
+
 # ---------------------------------------------------------------------------
 # FAI
 # ---------------------------------------------------------------------------
