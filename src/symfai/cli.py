@@ -131,10 +131,10 @@ def _run_attack(args) -> int:
 def _run_search(args) -> int:
     from . import search
 
-    report = search.profile_all(args.n, budget_seconds=args.budget_seconds)
     if args.out:
-        search.write_profiles_jsonl(report, args.out)
+        report = search._census_jsonl(args.n, args.budget_seconds, args.out)
     else:
+        report = search._census(args.n, args.budget_seconds)
         sys.stdout.write(_dump(report.to_json_dict(), args.format))
     if report.violations:
         sys.stderr.write("bound violations found:\n" + "\n".join(report.violations) + "\n")

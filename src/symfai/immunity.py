@@ -70,7 +70,9 @@ calls per witness, no loop over the 2^n bits), and the checks read the
 witness degrees from these lists.  Few distinct witnesses occur (118 in
 the 2,048 profiles of SB_10), so the expansion, the witness truth table
 and the listing are memoised per distinct orbit vector by one bounded
-cache, _witness.  Only values of the witness alone are memoised: the
+cache, _witness.  Its mask tuples take their ints from one lazily filled
+intern table per n, so the witnesses of a census share one int object per
+mask.  Only values of the witness alone are memoised: the
 checks against f's truth table and the reported degrees still run for
 every function.  The dense oracle (dense.py) performs the same
 computations over all g from raw truth tables and is used in the test
@@ -422,14 +424,30 @@ def _weight_class_tables(n: int) -> tuple[int, ...]:
     return tuple(tables)
 
 
+@functools.lru_cache(maxsize=2)
+def _mask_interns(n: int) -> dict[int, int]:
+    """Intern table of the monomial masks on n variables, filled lazily by _witness.
+
+    Each mask maps to itself, so equal masks of different witnesses are one
+    int object.  It starts empty: one witness adds only its own masks.  Two
+    n are held, as by _orbits.
+    """
+    return {}
+
+
 # The distinct witnesses of a census are 118 at n = 10, 221 at n = 11,
 # 209 at n = 12, 435 at n = 13 and 485 at n = 14, so 512 entries hold a
 # whole census working set.
 @functools.lru_cache(maxsize=512)
 def _witness(n: int, vec: int) -> tuple[int, tuple[int, ...]]:
-    """Truth table and graded monomial masks of an orbit-coordinate vector, memoised per distinct vector."""
+    """Truth table and graded monomial masks of an orbit-coordinate vector, memoised per distinct vector.
+
+    The masks are interned through _mask_interns(n), so the witnesses of a
+    census share one int object per mask.
+    """
     anf_bits = _orbits(n).expand(vec)
-    return subset_xor_transform(anf_bits, n), graded_masks(anf_bits, n)
+    masks = graded_masks(anf_bits, n)
+    return subset_xor_transform(anf_bits, n), tuple(map(_mask_interns(n).setdefault, masks, masks))
 
 
 def ai_symmetric(f: Sanfv) -> tuple[int, tuple[int, ...]]:

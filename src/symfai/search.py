@@ -2,15 +2,22 @@
 
 profile_all(n) walks every symmetric function on n variables in SANFV
 integer order, profiles it, and checks the full inequality suite; any
-violation is a library defect and lands in the report.
+violation is a library defect and lands in the report.  The walk is one
+fold over a stream of profiles: profile_all keeps them, while the MAI
+census and the JSONL writer of ``search --out`` drop each one once it is
+read, so their memory follows the distinct witnesses, not the 2^(n+1)
+profiles.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import shutil
+import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import immunity
 from .attacks import bound_suite
@@ -22,7 +29,12 @@ from .sanfv import Sanfv, _check_n
 
 @dataclass(frozen=True)
 class SearchReport:
-    """Aggregate of one exhaustive run over SB_n."""
+    """Aggregate of one exhaustive run over SB_n.
+
+    profiles holds every profile in a report of profile_all; the streamed
+    census (the search command, find_symmetric_mai) folds them away and
+    leaves it empty.
+    """
 
     n: int
     count: int
@@ -45,31 +57,32 @@ class SearchReport:
         }
 
 
-def profile_all(n: int, budget_seconds: float | None = None) -> SearchReport:
-    """Profile every f in SB_n and aggregate; deterministic.
+def _census(n: int, budget_seconds: float | None = None, each=None) -> SearchReport:
+    """Profile every f in SB_n in SANFV integer order and fold the summary as it goes.
 
-    Above the exact cap of immunity.profile (n <= 14) the first profile
-    raises CapabilityError.
+    Each profile is handed to each (when it is not None) and then dropped,
+    so the fold holds only the summary: the report's profiles are empty.
     """
     _check_n(n)
     if budget_seconds is not None and not math.isfinite(budget_seconds):
         raise ValueError(f"budget must be a finite number of seconds, got {budget_seconds}")
 
     start = time.monotonic()
-    profiles = []
     violations = []
     max_fai = -1
     max_fai_witnesses: list[str] = []
     mai_list = []
     mai_target = (n + 1) // 2
 
-    for lam in range(1 << (n + 1)):
+    count = 1 << (n + 1)
+    for lam in range(count):
         if budget_seconds is not None and lam % 64 == 0:
             if time.monotonic() - start > budget_seconds:
                 raise CapabilityError(f"search budget of {budget_seconds}s exceeded at n={n}")
         f = Sanfv(n, lam)
         p = immunity.profile(f)
-        profiles.append(p)
+        if each is not None:
+            each(p)
         report = bound_suite(p)
         for failure in report.failures():
             violations.append(f"{f.to_string()}: {failure.name}: {failure.detail}")
@@ -83,23 +96,34 @@ def profile_all(n: int, budget_seconds: float | None = None) -> SearchReport:
 
     return SearchReport(
         n=n,
-        count=len(profiles),
+        count=count,
         max_fai=max_fai,
         max_fai_witnesses=tuple(max_fai_witnesses),
         mai_list=tuple(mai_list),
         violations=tuple(violations),
         wall_time_s=time.monotonic() - start,
-        profiles=tuple(profiles),
+        profiles=(),
     )
+
+
+def profile_all(n: int, budget_seconds: float | None = None) -> SearchReport:
+    """Profile every f in SB_n and aggregate; deterministic.
+
+    The report holds every profile.  Above the exact cap of
+    immunity.profile (n <= 14) the first profile raises CapabilityError.
+    """
+    profiles: list[ImmunityProfile] = []
+    report = _census(n, budget_seconds, profiles.append)
+    return replace(report, profiles=tuple(profiles))
 
 
 def find_symmetric_mai(n: int) -> list[Sanfv]:
     """All f in SB_n with maximum algebraic immunity, in SANFV integer order.
 
-    This is the MAI list of the census profile_all(n), so every AI comes
-    with a verified annihilator and the same caps apply.
+    This is the MAI list of the census of SB_n, so every AI comes with a
+    verified annihilator and the same caps apply; no profile is held.
     """
-    return [Sanfv.from_string(n, text) for text in profile_all(n).mai_list]
+    return [Sanfv.from_string(n, text) for text in _census(n).mai_list]
 
 
 class _ProfileRenderer:
@@ -162,15 +186,70 @@ def write_profiles_jsonl(report: SearchReport, path: str) -> None:
     """Dump one profile per line (stable field order) so reruns can be diffed.
 
     The first line is the summary; each profile line holds the bytes of
-    json.dumps(p.to_json_dict(), sort_keys=True), rendered by one
-    _ProfileRenderer for the whole file, so each distinct witness is listed,
-    and each monomial's text made, once per write.
+    json.dumps(p.to_json_dict(), sort_keys=True).  This is the writer of
+    _census_jsonl, run over the report's profiles.
     """
-    render = _ProfileRenderer((", ", ": "), memo_monomials=True).render
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(report.to_json_dict(), sort_keys=True) + "\n")
+
+    def replay(emit) -> SearchReport:
         for p in report.profiles:
-            handle.write(render(p))
+            emit(p)
+        return report
+
+    _write_jsonl(path, replay)
+
+
+def _census_jsonl(n: int, budget_seconds: float | None, path: str) -> SearchReport:
+    """Run the census of SB_n into path as write_profiles_jsonl(profile_all(n), path) would.
+
+    Each line is written as its profile is made, so no profile is held.
+    """
+    return _write_jsonl(path, lambda emit: _census(n, budget_seconds, emit))
+
+
+def _write_jsonl(path: str, census) -> SearchReport:
+    """Write the summary line and then one line per profile to path; return the report.
+
+    census(emit) calls emit on each profile in order and returns the
+    report.  One _ProfileRenderer renders the whole file, so each distinct
+    witness is listed, and each monomial's text made, once per write.  The
+    summary comes first but is known last, so the profile lines go to a
+    temporary file in path's directory as they are rendered; then path
+    gets the summary line and the temporary file's bytes.  The temporary
+    file is always removed.  If census raises, or the directory does not
+    exist, path is neither created nor truncated.
+    """
+    try:
+        fd, staged = tempfile.mkstemp(suffix=".jsonl.tmp", dir=os.path.dirname(path) or ".")
+    except OSError as exc:  # name the target, not the temporary file
+        raise type(exc)(exc.errno, exc.strerror, path) from None
+    try:
+        render = _ProfileRenderer((", ", ": "), memo_monomials=True).render
+        with open(fd, "w", encoding="utf-8") as body:
+            write = body.write
+            report = census(lambda p: write(render(p)))
+        with open(staged, "rb") as body, open(path, "w", encoding="utf-8") as handle:
+            handle.write(json.dumps(report.to_json_dict(), sort_keys=True) + "\n")
+            _append_file(handle, body)
+    finally:
+        os.unlink(staged)
+    return report
+
+
+def _append_file(handle, source) -> None:
+    """Append the bytes of the binary file source to the text file handle.
+
+    os.sendfile copies them kernel-side where the platform has it between
+    two files; elsewhere they pass through this process in chunks.
+    """
+    handle.flush()
+    offset = 0
+    try:
+        while sent := os.sendfile(handle.fileno(), source.fileno(), offset, 1 << 30):
+            offset += sent
+    except (AttributeError, OSError):  # no os.sendfile, or none between two files
+        if offset:
+            raise
+        shutil.copyfileobj(source, handle.buffer)
 
 
 # ---------------------------------------------------------------------------

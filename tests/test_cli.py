@@ -90,6 +90,17 @@ def test_search_out_writes_jsonl(tmp_path):
     assert len(lines) == (1 << 4) + 1
 
 
+def test_search_out_with_violations_writes_the_file_and_exits_4(tmp_path):
+    path = tmp_path / "census.jsonl"
+    code, out, err = run_cli(["search", "--n", "6", "--out", str(path)])
+    assert code == 4 and out == ""
+    assert err.startswith("bound violations found:\n") and err.count("fai_below_n") == 8
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == (1 << 7) + 1
+    assert json.loads(lines[0])["max_fai"] == 6
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_tables_csv_default():
     code, out, _ = run_cli(["tables"])
     assert code == 0
@@ -169,6 +180,26 @@ def test_analyze_renders_in_bounded_memory():
     t = s.threshold(14, 7)
     for f in (t, s.Sanfv(14, t.bits ^ 1)):  # f and f + 1
         assert _render_peak_mb(f) <= 0.5
+
+
+def test_search_out_streams_in_bounded_memory(tmp_path):
+    # the census held all 2,048 profiles and peaked at 1.79 MB here; streamed
+    # it peaks at 0.94 MB.  The tables are warmed first and the witnesses
+    # made afresh, so the peak does not depend on the tests before this one.
+    from symfai import attacks, immunity
+
+    argv = ["search", "--n", "10", "--out", str(tmp_path / "census.jsonl")]
+    assert main(argv) == 0
+    immunity._witness.cache_clear()
+    immunity._mask_interns.cache_clear()
+    attacks._bound_checks.cache_clear()
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak_mb <= 1.25
 
 
 def test_cli_import_leaves_fractions_and_decimal_unloaded():
@@ -266,9 +297,18 @@ def test_capability_errors_exit_3():
     assert code == 3
 
 
-def test_search_budget_exit_3():
+def test_search_budget_exit_3(tmp_path):
     code, _, err = run_cli(["search", "--n", "2", "--budget-seconds", "-1"])
     assert code == 3 and "budget" in err
+    # the streamed --out leaves no temporary file and neither creates nor truncates the target
+    target = tmp_path / "census.jsonl"
+    code, out, err = run_cli(["search", "--n", "2", "--budget-seconds", "-1", "--out", str(target)])
+    assert code == 3 and out == "" and "budget" in err
+    assert list(tmp_path.iterdir()) == []
+    target.write_text("kept\n")
+    code, _, _ = run_cli(["search", "--n", "2", "--budget-seconds", "-1", "--out", str(target)])
+    assert code == 3
+    assert list(tmp_path.iterdir()) == [target] and target.read_text() == "kept\n"
 
 
 def test_search_bad_n_exits_2_with_the_variable_count_message():
@@ -300,8 +340,12 @@ def test_out_file_matches_stdout(tmp_path):
 
 @pytest.mark.parametrize("argv", [["analyze", "--n", "5", "--f", "majority"], ["search", "--n", "3"]])
 def test_unwritable_out_path_exits_2(tmp_path, argv):
-    code, out, err = run_cli([*argv, "--out", str(tmp_path / "missing" / "x.json")])
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli([*argv, "--out", str(target)])
     assert code == 2 and out == "" and err.startswith("error: ")
+    # the message names the target, and nothing is left behind
+    assert str(target) in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cross_process_determinism(tmp_path):

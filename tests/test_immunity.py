@@ -16,6 +16,7 @@ from symfai.immunity import (
     _block_parities,
     _class_product_pieces,
     _class_truth_table,
+    _mask_interns,
     _orbits,
     _product_columns,
     _zero_span_min_degree,
@@ -326,7 +327,7 @@ def test_fai_matches_dense_oracle_at_11_and_12():
 def test_table_caches_hold_at_most_two_n():
     for n in range(11, 15):
         s.profile(s.threshold(n, (n + 1) // 2))
-    for cache in (_orbits, _class_product_pieces):
+    for cache in (_orbits, _class_product_pieces, _mask_interns):
         assert cache.cache_info().currsize == 2, cache.__name__
         hits = cache.cache_info().hits
         cache(13), cache(14)
@@ -360,6 +361,23 @@ def test_witness_memos_leave_profiles_unchanged():
             cold.append(s.profile(f).to_json_dict())
         assert [p.to_json_dict() for p in profile_all(n).profiles] == cold, n
         assert [s.profile(f).to_json_dict() for f in fs] == cold, n
+
+
+def test_witnesses_share_one_int_per_mask():
+    # CPython shares no int above 256 by itself; 481 is a monomial of both
+    # AI witnesses, which differ
+    _clear_witness_memos()
+    _mask_interns.cache_clear()
+    maj = s.majority(9)
+    profiles = [s.profile(maj), s.profile(s.Sanfv(9, maj.bits ^ 1))]
+    g, h = (p.ai_witness for p in profiles)
+    assert g != h and 481 in g and 481 in h
+    assert g[g.index(481)] is h[h.index(481)]
+    # the table is filled lazily: it holds exactly the masks of the witnesses made
+    held = set()
+    for p in profiles:
+        held.update(p.ai_witness, *p.fai_witness)
+    assert set(_mask_interns(9)) == held and len(held) < 1 << 9
 
 
 def test_witness_memos_are_bounded():

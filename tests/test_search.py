@@ -3,11 +3,14 @@
 import dataclasses
 import gc
 import json
+import os
 import weakref
 
 import pytest
 
 import symfai as s
+from symfai import immunity
+from symfai.cli import main
 from symfai.errors import CapabilityError, InvariantViolation
 from symfai.search import lower_degree_table, profile_all, tables_csv, upper_ai_table, write_profiles_jsonl
 
@@ -56,6 +59,35 @@ def test_profile_all_retains_no_report():
     ref = weakref.ref(profile_all(4))
     gc.collect()
     assert ref() is None
+
+
+def _most_profiles_alive(monkeypatch, run):
+    """The most profiles alive at once while run() walks the census of SB_8."""
+    made, most = [], 0
+    original = immunity.profile
+
+    def tracked(f):
+        nonlocal most
+        p = original(f)
+        made.append(weakref.ref(p))
+        most = max(most, sum(ref() is not None for ref in made))
+        return p
+
+    monkeypatch.setattr(immunity, "profile", tracked)
+    run()
+    assert len(made) == 1 << 9
+    return most
+
+
+def test_streamed_census_holds_no_profile(monkeypatch, tmp_path):
+    # the current profile and the one before it, whose names the loop still binds
+    for run in (
+        lambda: s.find_symmetric_mai(8),
+        lambda: main(["search", "--n", "8"]),
+        lambda: main(["search", "--n", "8", "--out", str(tmp_path / "census.jsonl")]),
+    ):
+        assert _most_profiles_alive(monkeypatch, run) <= 2
+    assert _most_profiles_alive(monkeypatch, lambda: profile_all(8)) == 1 << 9
 
 
 def test_profile_all_limits():
@@ -209,6 +241,32 @@ def test_profiles_jsonl_roundtrip(tmp_path):
     assert header["n"] == 4 and "wall_time_s" not in header
     row = json.loads(lines[1])
     assert row["f"] == "00000"
+
+
+def test_streamed_out_equals_the_report_writer(tmp_path):
+    for n in range(1, 9):
+        streamed, written = tmp_path / f"streamed-{n}.jsonl", tmp_path / f"written-{n}.jsonl"
+        code = main(["search", "--n", str(n), "--out", str(streamed)])
+        assert code == (4 if n == 6 else 0), n
+        write_profiles_jsonl(profile_all(n), str(written))
+        assert streamed.read_bytes() == written.read_bytes(), n
+    assert len(list(tmp_path.iterdir())) == 16  # no temporary file is left
+
+
+def test_jsonl_copy_without_sendfile(tmp_path, monkeypatch):
+    # where os.sendfile cannot copy between two files, the body passes
+    # through the process and the bytes are the same
+    report = profile_all(5)
+    kernel, chunked = tmp_path / "kernel.jsonl", tmp_path / "chunked.jsonl"
+    write_profiles_jsonl(report, str(kernel))
+
+    def no_sendfile(*args):
+        raise OSError(95, "Operation not supported")
+
+    monkeypatch.setattr(os, "sendfile", no_sendfile)
+    write_profiles_jsonl(report, str(chunked))
+    assert chunked.read_bytes() == kernel.read_bytes()
+    assert sorted(tmp_path.iterdir()) == [chunked, kernel]
 
 
 def _relisted_json(masks):
