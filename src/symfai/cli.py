@@ -91,17 +91,12 @@ def _analyze_text(profile, report, fmt: str) -> str:
     """The analyze payload: the profile's JSON dict plus the bound checks."""
     from .search import _ProfileRenderer
 
-    bounds = [c.to_json_dict() for c in report.checks]
     if fmt == "pretty":
         payload = profile.to_json_dict()
-        payload["bounds"] = bounds
+        payload["bounds"] = [c.to_json_dict() for c in report.checks]
         payload["bounds_ok"] = report.all_ok
         return _dump(payload, fmt)
-    extra = (
-        ("bounds", json.dumps(bounds, sort_keys=True, separators=_COMPACT)),
-        ("bounds_ok", "true" if report.all_ok else "false"),
-    )
-    return _ProfileRenderer(_COMPACT).render(profile, extra)
+    return _ProfileRenderer(_COMPACT).render(profile, report)
 
 
 def _run_analyze(args) -> int:

@@ -392,12 +392,12 @@ def min_multiplier_degree(f: DenseBooleanFunction, e: int) -> MultiplierSearch:
         annihilator = DenseAnf(n, permuted_rank_to_anf_bits(n, kernel))
         if anf_to_table(annihilator).bits & f.bits:
             raise InvariantViolation("kernel element is not an annihilator")
-    combined = 0 if annihilator is not None else d
-    if combined > n - e:
+    result = MultiplierSearch(e, d, g, h, annihilator)
+    if result.combined_minimum > n - e:
         raise InvariantViolation(
-            f"existence bound violated: min degree {combined} > n - e = {n - e} for tt={f.bits:#x}"
+            f"existence bound violated: min degree {result.combined_minimum} > n - e = {n - e} for tt={f.bits:#x}"
         )
-    return MultiplierSearch(e, d, g, h, annihilator)
+    return result
 
 
 def _check_multiple(f: DenseBooleanFunction, g: DenseAnf, h: DenseAnf, d: int) -> None:

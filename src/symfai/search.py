@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass, replace
 
 from . import immunity
-from .attacks import bound_suite
+from .attacks import BoundReport, bound_suite
 from .errors import CapabilityError
 from .gf2 import iter_bits
 from .immunity import ImmunityProfile
@@ -129,9 +129,10 @@ def find_symmetric_mai(n: int) -> list[Sanfv]:
 class _ProfileRenderer:
     """JSON lines of profile records, written directly from the witnesses' masks.
 
-    ``render(p, extra)`` gives the bytes of json.dumps(d, sort_keys=True,
-    separators=separators) plus a newline, where d is p.to_json_dict() with
-    the items of extra added.  It builds neither that dict nor the encoder's
+    ``render(p, report)`` gives the bytes of json.dumps(d, sort_keys=True,
+    separators=separators) plus a newline, where d is p.to_json_dict() with,
+    when report is given, analyze's "bounds" (the checks' dicts) and
+    "bounds_ok" added.  It builds neither that dict nor the encoder's
     token list.  Each distinct witness tuple is listed once: listings are
     keyed by the tuple's identity, and each entry holds the tuple, so its id
     is not reused while the renderer lives.  With ``memo_monomials`` each
@@ -160,22 +161,21 @@ class _ProfileRenderer:
             entry = self._listings[id(masks)] = (masks, "[" + item.join(parts) + "]")
         return entry[1]
 
-    def render(self, p: ImmunityProfile, extra: tuple[tuple[str, str], ...] = ()) -> str:
-        """One line of JSON; extra holds (key, JSON text) pairs in key order.
-
-        The keys of extra must sort between "ai_witness" and "capped", as the
-        analyze payload's "bounds" and "bounds_ok" do: that is where they go.
-        """
+    def render(self, p: ImmunityProfile, report: BoundReport | None = None) -> str:
+        """One line of JSON for p, with report's bound checks when it is given."""
         item, key = self.item, self.key
         if p.fai_witness is None:
             fai_witness = "null"
         else:
             g, h = p.fai_witness
             fai_witness = f'{{"g"{key}{self._listed(g)}{item}"h"{key}{self._listed(h)}}}'
-        extra_text = "".join([f'{item}"{name}"{key}{text}' for name, text in extra])
+        bounds = ""
+        if report is not None:
+            checks = json.dumps([c.to_json_dict() for c in report.checks], sort_keys=True, separators=(item, key))
+            bounds = f'{item}"bounds"{key}{checks}{item}"bounds_ok"{key}{"true" if report.all_ok else "false"}'
         deg = p.deg
         return (
-            f'{{"ai"{key}{p.ai}{item}"ai_witness"{key}{self._listed(p.ai_witness)}{extra_text}{item}'
+            f'{{"ai"{key}{p.ai}{item}"ai_witness"{key}{self._listed(p.ai_witness)}{bounds}{item}'
             f'"capped"{key}{"true" if p.capped else "false"}{item}"deg"{key}{"null" if deg is None else deg}{item}'
             f'"f"{key}"{p.f.to_string()}"{item}"fai"{key}{p.fai}{item}"fai_witness"{key}{fai_witness}{item}'
             f'"n"{key}{p.f.n}}}\n'
@@ -212,44 +212,28 @@ def _write_jsonl(path: str, census) -> SearchReport:
     census(emit) calls emit on each profile in order and returns the
     report.  One _ProfileRenderer renders the whole file, so each distinct
     witness is listed, and each monomial's text made, once per write.  The
-    summary comes first but is known last, so the profile lines go to a
-    temporary file in path's directory as they are rendered; then path
-    gets the summary line and the temporary file's bytes.  The temporary
-    file is always removed.  If census raises, or the directory does not
-    exist, path is neither created nor truncated.
+    summary comes first but is known last, so the profile lines go, as they
+    are rendered, to an anonymous temporary file in path's directory; then
+    path gets the summary line and the temporary file's bytes.  The file
+    has no name (O_TMPFILE on Linux, unlinked at creation on other POSIX
+    systems), so the operating system removes it when it is closed or the
+    process dies, however it dies.  If census raises, or the directory does
+    not exist, path is neither created nor truncated.
     """
     try:
-        fd, staged = tempfile.mkstemp(suffix=".jsonl.tmp", dir=os.path.dirname(path) or ".")
+        body = tempfile.TemporaryFile("w+", encoding="utf-8", dir=os.path.dirname(path) or ".")
     except OSError as exc:  # name the target, not the temporary file
         raise type(exc)(exc.errno, exc.strerror, path) from None
-    try:
+    with body:
         render = _ProfileRenderer((", ", ": "), memo_monomials=True).render
-        with open(fd, "w", encoding="utf-8") as body:
-            write = body.write
-            report = census(lambda p: write(render(p)))
-        with open(staged, "rb") as body, open(path, "w", encoding="utf-8") as handle:
+        write = body.write
+        report = census(lambda p: write(render(p)))
+        body.seek(0)
+        with open(path, "w", encoding="utf-8") as handle:
             handle.write(json.dumps(report.to_json_dict(), sort_keys=True) + "\n")
-            _append_file(handle, body)
-    finally:
-        os.unlink(staged)
+            handle.flush()
+            shutil.copyfileobj(body.buffer, handle.buffer)
     return report
-
-
-def _append_file(handle, source) -> None:
-    """Append the bytes of the binary file source to the text file handle.
-
-    os.sendfile copies them kernel-side where the platform has it between
-    two files; elsewhere they pass through this process in chunks.
-    """
-    handle.flush()
-    offset = 0
-    try:
-        while sent := os.sendfile(handle.fileno(), source.fileno(), offset, 1 << 30):
-            offset += sent
-    except (AttributeError, OSError):  # no os.sendfile, or none between two files
-        if offset:
-            raise
-        shutil.copyfileobj(source, handle.buffer)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@
 import dataclasses
 import gc
 import json
-import os
 import weakref
 
 import pytest
@@ -14,7 +13,7 @@ from symfai.cli import main
 from symfai.errors import CapabilityError, InvariantViolation
 from symfai.search import lower_degree_table, profile_all, tables_csv, upper_ai_table, write_profiles_jsonl
 
-from conftest import graded_reference, json_reference
+from conftest import graded_reference, json_reference, run_python
 
 
 def test_profile_all_counts():
@@ -253,20 +252,47 @@ def test_streamed_out_equals_the_report_writer(tmp_path):
     assert len(list(tmp_path.iterdir())) == 16  # no temporary file is left
 
 
-def test_jsonl_copy_without_sendfile(tmp_path, monkeypatch):
-    # where os.sendfile cannot copy between two files, the body passes
-    # through the process and the bytes are the same
-    report = profile_all(5)
-    kernel, chunked = tmp_path / "kernel.jsonl", tmp_path / "chunked.jsonl"
-    write_profiles_jsonl(report, str(kernel))
+def test_out_of_a_killed_census_leaves_no_file(tmp_path):
+    # the body is staged in a file without a name, so a process that dies
+    # mid-census, with no cleanup run, leaves nothing in the directory
+    code = """
+import os, sys
+from symfai import immunity, search
+from symfai.sanfv import Sanfv
 
-    def no_sendfile(*args):
-        raise OSError(95, "Operation not supported")
+def census(emit):
+    for lam in range(40):
+        emit(immunity.profile(Sanfv(5, lam)))
+    os._exit(1)
 
-    monkeypatch.setattr(os, "sendfile", no_sendfile)
-    write_profiles_jsonl(report, str(chunked))
-    assert chunked.read_bytes() == kernel.read_bytes()
-    assert sorted(tmp_path.iterdir()) == [chunked, kernel]
+search._write_jsonl(sys.argv[1], census)
+"""
+    proc = run_python("-c", code, str(tmp_path / "census.jsonl"), text=True)
+    assert proc.returncode == 1, proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_of_a_failing_census_keeps_the_target(tmp_path, monkeypatch, capsys):
+    # a census that raises with lines already staged exits 4, leaves the
+    # earlier file byte-identical and leaves no other file
+    target = tmp_path / "census.jsonl"
+    assert main(["search", "--n", "4", "--out", str(target)]) == 0
+    before = target.read_bytes()
+    real, calls = immunity.profile, 0
+
+    def failing(f):
+        nonlocal calls
+        calls += 1
+        if calls == 100:
+            raise InvariantViolation("injected at the 100th profile")
+        return real(f)
+
+    monkeypatch.setattr(immunity, "profile", failing)
+    capsys.readouterr()
+    assert main(["search", "--n", "8", "--out", str(target)]) == 4
+    out, err = capsys.readouterr()
+    assert calls == 100 and out == "" and "injected at the 100th profile" in err
+    assert list(tmp_path.iterdir()) == [target] and target.read_bytes() == before
 
 
 def _relisted_json(masks):
