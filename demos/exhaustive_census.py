@@ -4,7 +4,8 @@ Run:  python demos/exhaustive_census.py
 """
 
 import symfai as s
-from symfai.search import profile_all, tables_csv
+from symfai.attacks import tables_csv
+from symfai.search import profile_all
 
 print("=== max FAI over all symmetric functions ===")
 reports = {}

@@ -23,6 +23,7 @@ _PUBLIC = {
         "near_power_certificate",
         "product_degree_gap_statistic",
         "residue_multipliers",
+        "tables_csv",
     ),
     "dense": (
         "DenseAnf",
@@ -58,7 +59,7 @@ _PUBLIC = {
         "to_sanfv",
         "to_values",
     ),
-    "search": ("SearchReport", "find_symmetric_mai", "profile_all", "tables_csv"),
+    "search": ("SearchReport", "find_symmetric_mai", "profile_all"),
 }
 
 _HOME = {name: module for module, names in _PUBLIC.items() for name in names}

@@ -15,6 +15,8 @@ implemented, read off directly from the SANFV of f:
 
 Certificates verify themselves on construction: the product is recomputed
 with the SANFV ring arithmetic and the promised degree bound is checked.
+bound_suite checks a profile against the degree/AI/FAI inequalities, and
+the two bound tables list the power-of-two bands those bounds rest on.
 """
 
 from __future__ import annotations
@@ -328,6 +330,33 @@ def _bound_checks(n: int, d: int | None, a: int, fai: int) -> tuple[BoundCheck, 
     check("fai_below_n", n >= 5, fai < n, f"fai={fai} vs n={n}")
     check("fai_cap", True, fai <= 2 * a, f"fai={fai} vs 2*ai={2 * a}")
     return tuple(checks)
+
+
+def _band_label(lo: int, hi: int) -> str:
+    return str(lo) if lo == hi else f"{lo}-{hi}"
+
+
+def upper_ai_table() -> list[tuple[str, int]]:
+    """Upper AI of symmetric functions per degree band: [2^k, 2^(k+1)-1] -> 2^k."""
+    return [(_band_label(1 << k, (1 << (k + 1)) - 1), 1 << k) for k in range(8)]
+
+
+def lower_degree_table() -> list[tuple[str, int]]:
+    """Lower degree of symmetric functions per AI band: (2^(k-1), 2^k] -> 2^k."""
+    rows = []
+    for k in range(8):
+        lo = (1 << (k - 1)) + 1 if k else 1
+        rows.append((_band_label(lo, 1 << k), 1 << k))
+    return rows
+
+
+def tables_csv() -> str:
+    lines = ["degree_band,upper_ai"]
+    lines += [f"{band},{value}" for band, value in upper_ai_table()]
+    lines.append("")
+    lines.append("ai_band,lower_degree")
+    lines += [f"{band},{value}" for band, value in lower_degree_table()]
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

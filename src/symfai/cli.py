@@ -1,18 +1,18 @@
 """Command line front end: analyze, attack, search, convert, tables, stat.
 
 Output is machine-first (JSON, CSV); --format pretty indents the JSON for
-humans.  The default JSON of analyze is rendered directly from the
-witnesses' monomial masks (search._ProfileRenderer) and is byte-equal to
-json.dumps with sorted keys and compact separators, so no encoder holds
-one token per monomial; --format pretty keeps json.dumps.  Identical
+humans.  The JSON of analyze is rendered directly from the witnesses'
+monomial masks (immunity._ProfileRenderer) and is byte-equal to json.dumps
+with sorted keys and compact separators, so no encoder holds one token per
+monomial; --format pretty re-indents that one line.  Identical
 requests with identical seeds produce byte-identical output.  Exit codes:
 0 success, 2 bad request, 3 capability or budget exceeded, 4 internal
 invariant violation (the message carries the counterexample).
 
 Each handler imports the modules it runs, so a launch compiles only those:
-attack and stat load the SANFV ring and attacks, convert the ring alone,
-and analyze, search and tables the immunity engine and the census.  No
-command loads the dense oracle.
+attack, stat and tables load the SANFV ring and attacks, convert the ring
+alone, analyze the immunity engine as well, and search the census on top
+of it.  No command loads the dense oracle.
 """
 
 from __future__ import annotations
@@ -89,14 +89,10 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _analyze_text(profile, report, fmt: str) -> str:
     """The analyze payload: the profile's JSON dict plus the bound checks."""
-    from .search import _ProfileRenderer
+    from .immunity import _ProfileRenderer
 
-    if fmt == "pretty":
-        payload = profile.to_json_dict()
-        payload["bounds"] = [c.to_json_dict() for c in report.checks]
-        payload["bounds_ok"] = report.all_ok
-        return _dump(payload, fmt)
-    return _ProfileRenderer(_COMPACT).render(profile, report)
+    line = _ProfileRenderer(_COMPACT).render(profile, report)
+    return _dump(json.loads(line), fmt) if fmt == "pretty" else line
 
 
 def _run_analyze(args) -> int:
@@ -145,14 +141,14 @@ def _run_convert(args) -> int:
 
 
 def _run_tables(args) -> int:
-    from . import search
+    from . import attacks
 
     if args.format == "csv":
-        _emit(search.tables_csv(), args.out)
+        _emit(attacks.tables_csv(), args.out)
     else:
         payload = {
-            "upper_ai_by_degree": [[band, value] for band, value in search.upper_ai_table()],
-            "lower_degree_by_ai": [[band, value] for band, value in search.lower_degree_table()],
+            "upper_ai_by_degree": [[band, value] for band, value in attacks.upper_ai_table()],
+            "lower_degree_by_ai": [[band, value] for band, value in attacks.lower_degree_table()],
         }
         _emit(_dump(payload, args.format), args.out)
     return 0

@@ -78,20 +78,26 @@ every function.  The dense oracle (dense.py) performs the same
 computations over all g from raw truth tables and is used in the test
 suite to cross-check every result; this module imports nothing from it.
 MAX_EXACT_N stays at most dense.MAX_DENSE_N, so every exact n is one the
-oracle can check.
+oracle can check.  A profile's JSON line is written by _ProfileRenderer from
+the witnesses' masks, byte-equal to json.dumps of to_json_dict's record.
 """
 
 from __future__ import annotations
 
 import functools
+import json
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import CapabilityError, InvariantViolation
 from .gf2 import BitBasis, bit_array_to_int, graded_masks, int_to_bit_array, iter_bits, subset_xor_transform
 from .sanfv import Sanfv, to_values
+
+if TYPE_CHECKING:
+    from .attacks import BoundReport
 
 MAX_EXACT_N = 14
 
@@ -161,6 +167,62 @@ class ImmunityProfile:
             "fai_witness": witness,
             "capped": self.capped,
         }
+
+
+class _ProfileRenderer:
+    """JSON lines of profile records, written directly from the witnesses' masks.
+
+    ``render(p, report)`` gives the bytes of json.dumps(d, sort_keys=True,
+    separators=separators) plus a newline, where d is p.to_json_dict() with,
+    when report is given, analyze's "bounds" (the checks' dicts) and
+    "bounds_ok" added.  It builds neither that dict nor the encoder's
+    token list.  Each distinct witness tuple is listed once: listings are
+    keyed by the tuple's identity, and each entry holds the tuple, so its id
+    is not reused while the renderer lives.  With ``memo_monomials`` each
+    monomial's text is also kept, made the first time a witness holds its
+    mask; that pays off across the many witnesses of a census, while a
+    single render keeps its peak small without it.
+    """
+
+    def __init__(self, separators: tuple[str, str], memo_monomials: bool = False):
+        self.item, self.key = separators
+        self._monomials: dict[int, str] | None = {} if memo_monomials else None
+        self._listings: dict[int, tuple[tuple[int, ...], str]] = {}
+
+    def _listed(self, masks: tuple[int, ...]) -> str:
+        entry = self._listings.get(id(masks))
+        if entry is None:
+            item, memo = self.item, self._monomials
+
+            def text(m: int) -> str:
+                return "[" + item.join(map(str, iter_bits(m))) + "]"
+
+            if memo is None:
+                parts = [text(m) for m in masks]
+            else:
+                parts = [memo.get(m) or memo.setdefault(m, text(m)) for m in masks]
+            entry = self._listings[id(masks)] = (masks, "[" + item.join(parts) + "]")
+        return entry[1]
+
+    def render(self, p: ImmunityProfile, report: BoundReport | None = None) -> str:
+        """One line of JSON for p, with report's bound checks when it is given."""
+        item, key = self.item, self.key
+        if p.fai_witness is None:
+            fai_witness = "null"
+        else:
+            g, h = p.fai_witness
+            fai_witness = f'{{"g"{key}{self._listed(g)}{item}"h"{key}{self._listed(h)}}}'
+        bounds = ""
+        if report is not None:
+            checks = json.dumps([c.to_json_dict() for c in report.checks], sort_keys=True, separators=(item, key))
+            bounds = f'{item}"bounds"{key}{checks}{item}"bounds_ok"{key}{"true" if report.all_ok else "false"}'
+        deg = p.deg
+        return (
+            f'{{"ai"{key}{p.ai}{item}"ai_witness"{key}{self._listed(p.ai_witness)}{bounds}{item}'
+            f'"capped"{key}{"true" if p.capped else "false"}{item}"deg"{key}{"null" if deg is None else deg}{item}'
+            f'"f"{key}"{p.f.to_string()}"{item}"fai"{key}{p.fai}{item}"fai_witness"{key}{fai_witness}{item}'
+            f'"n"{key}{p.f.n}}}\n'
+        )
 
 
 # ---------------------------------------------------------------------------

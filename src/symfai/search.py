@@ -1,4 +1,4 @@
-"""Exhaustive enumeration of SB_n: profiles, extremal FAI, MAI census, tables.
+"""Exhaustive enumeration of SB_n: profiles, extremal FAI, MAI census, JSONL.
 
 profile_all(n) walks every symmetric function on n variables in SANFV
 integer order, profiles it, and checks the full inequality suite; any
@@ -20,10 +20,9 @@ import time
 from dataclasses import dataclass, replace
 
 from . import immunity
-from .attacks import BoundReport, bound_suite
+from .attacks import bound_suite
 from .errors import CapabilityError
-from .gf2 import iter_bits
-from .immunity import ImmunityProfile
+from .immunity import ImmunityProfile, _ProfileRenderer
 from .sanfv import Sanfv, _check_n
 
 
@@ -126,62 +125,6 @@ def find_symmetric_mai(n: int) -> list[Sanfv]:
     return [Sanfv.from_string(n, text) for text in _census(n).mai_list]
 
 
-class _ProfileRenderer:
-    """JSON lines of profile records, written directly from the witnesses' masks.
-
-    ``render(p, report)`` gives the bytes of json.dumps(d, sort_keys=True,
-    separators=separators) plus a newline, where d is p.to_json_dict() with,
-    when report is given, analyze's "bounds" (the checks' dicts) and
-    "bounds_ok" added.  It builds neither that dict nor the encoder's
-    token list.  Each distinct witness tuple is listed once: listings are
-    keyed by the tuple's identity, and each entry holds the tuple, so its id
-    is not reused while the renderer lives.  With ``memo_monomials`` each
-    monomial's text is also kept, made the first time a witness holds its
-    mask; that pays off across the many witnesses of a census, while a
-    single render keeps its peak small without it.
-    """
-
-    def __init__(self, separators: tuple[str, str], memo_monomials: bool = False):
-        self.item, self.key = separators
-        self._monomials: dict[int, str] | None = {} if memo_monomials else None
-        self._listings: dict[int, tuple[tuple[int, ...], str]] = {}
-
-    def _listed(self, masks: tuple[int, ...]) -> str:
-        entry = self._listings.get(id(masks))
-        if entry is None:
-            item, memo = self.item, self._monomials
-
-            def text(m: int) -> str:
-                return "[" + item.join(map(str, iter_bits(m))) + "]"
-
-            if memo is None:
-                parts = [text(m) for m in masks]
-            else:
-                parts = [memo.get(m) or memo.setdefault(m, text(m)) for m in masks]
-            entry = self._listings[id(masks)] = (masks, "[" + item.join(parts) + "]")
-        return entry[1]
-
-    def render(self, p: ImmunityProfile, report: BoundReport | None = None) -> str:
-        """One line of JSON for p, with report's bound checks when it is given."""
-        item, key = self.item, self.key
-        if p.fai_witness is None:
-            fai_witness = "null"
-        else:
-            g, h = p.fai_witness
-            fai_witness = f'{{"g"{key}{self._listed(g)}{item}"h"{key}{self._listed(h)}}}'
-        bounds = ""
-        if report is not None:
-            checks = json.dumps([c.to_json_dict() for c in report.checks], sort_keys=True, separators=(item, key))
-            bounds = f'{item}"bounds"{key}{checks}{item}"bounds_ok"{key}{"true" if report.all_ok else "false"}'
-        deg = p.deg
-        return (
-            f'{{"ai"{key}{p.ai}{item}"ai_witness"{key}{self._listed(p.ai_witness)}{bounds}{item}'
-            f'"capped"{key}{"true" if p.capped else "false"}{item}"deg"{key}{"null" if deg is None else deg}{item}'
-            f'"f"{key}"{p.f.to_string()}"{item}"fai"{key}{p.fai}{item}"fai_witness"{key}{fai_witness}{item}'
-            f'"n"{key}{p.f.n}}}\n'
-        )
-
-
 def write_profiles_jsonl(report: SearchReport, path: str) -> None:
     """Dump one profile per line (stable field order) so reruns can be diffed.
 
@@ -210,7 +153,7 @@ def _write_jsonl(path: str, census) -> SearchReport:
     """Write the summary line and then one line per profile to path; return the report.
 
     census(emit) calls emit on each profile in order and returns the
-    report.  One _ProfileRenderer renders the whole file, so each distinct
+    report.  One immunity._ProfileRenderer renders the whole file, so each distinct
     witness is listed, and each monomial's text made, once per write.  The
     summary comes first but is known last, so the profile lines go, as they
     are rendered, to an anonymous temporary file in path's directory; then
@@ -218,8 +161,12 @@ def _write_jsonl(path: str, census) -> SearchReport:
     has no name (O_TMPFILE on Linux, unlinked at creation on other POSIX
     systems), so the operating system removes it when it is closed or the
     process dies, however it dies.  If census raises, or the directory does
-    not exist, path is neither created nor truncated.
+    not exist, path is neither created nor truncated.  An existing file or
+    directory at path is opened for writing (not truncated) before the
+    census, so an unwritable target fails at once; FIFOs are not opened.
     """
+    if os.path.isfile(path) or os.path.isdir(path):
+        os.close(os.open(path, os.O_WRONLY))
     try:
         body = tempfile.TemporaryFile("w+", encoding="utf-8", dir=os.path.dirname(path) or ".")
     except OSError as exc:  # name the target, not the temporary file
@@ -234,35 +181,3 @@ def _write_jsonl(path: str, census) -> SearchReport:
             handle.flush()
             shutil.copyfileobj(body.buffer, handle.buffer)
     return report
-
-
-# ---------------------------------------------------------------------------
-# the two bound tables
-# ---------------------------------------------------------------------------
-
-
-def _band_label(lo: int, hi: int) -> str:
-    return str(lo) if lo == hi else f"{lo}-{hi}"
-
-
-def upper_ai_table() -> list[tuple[str, int]]:
-    """Upper AI of symmetric functions per degree band: [2^k, 2^(k+1)-1] -> 2^k."""
-    return [(_band_label(1 << k, (1 << (k + 1)) - 1), 1 << k) for k in range(8)]
-
-
-def lower_degree_table() -> list[tuple[str, int]]:
-    """Lower degree of symmetric functions per AI band: (2^(k-1), 2^k] -> 2^k."""
-    rows = []
-    for k in range(8):
-        lo = (1 << (k - 1)) + 1 if k else 1
-        rows.append((_band_label(lo, 1 << k), 1 << k))
-    return rows
-
-
-def tables_csv() -> str:
-    lines = ["degree_band,upper_ai"]
-    lines += [f"{band},{value}" for band, value in upper_ai_table()]
-    lines.append("")
-    lines.append("ai_band,lower_degree")
-    lines += [f"{band},{value}" for band, value in lower_degree_table()]
-    return "\n".join(lines) + "\n"

@@ -26,7 +26,8 @@ import time
 
 import symfai as s
 from conftest import fai_brute
-from symfai.search import lower_degree_table, profile_all, upper_ai_table
+from symfai.attacks import lower_degree_table, upper_ai_table
+from symfai.search import profile_all
 
 MAX_FAI = {5: 4, 6: 6, 10: 8}
 FAI_SIGMA4_N8 = 6

@@ -101,6 +101,21 @@ def test_search_out_with_violations_writes_the_file_and_exits_4(tmp_path):
     assert list(tmp_path.iterdir()) == [path]
 
 
+def test_search_out_to_a_directory_fails_before_the_census(tmp_path, monkeypatch):
+    from symfai import immunity
+
+    def profile(f):
+        raise AssertionError(f"profiled {f.to_string()} for an unwritable target")
+
+    monkeypatch.setattr(immunity, "profile", profile)
+    target = tmp_path / "census"
+    target.mkdir()
+    code, out, err = run_cli(["search", "--n", "12", "--out", str(target)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(target) in err
+    assert list(tmp_path.iterdir()) == [target] and list(target.iterdir()) == []
+
+
 def test_tables_csv_default():
     code, out, _ = run_cli(["tables"])
     assert code == 0
@@ -210,7 +225,7 @@ def test_cli_import_leaves_fractions_and_decimal_unloaded():
 
 
 _RING = {"cli", "errors", "gf2", "sanfv"}
-_ENGINE = _RING | {"attacks", "immunity", "search"}
+_ENGINE = _RING | {"attacks", "immunity"}
 
 
 @pytest.mark.parametrize(
@@ -220,8 +235,8 @@ _ENGINE = _RING | {"attacks", "immunity", "search"}
         (["stat", "--n", "9", "--samples", "2"], _RING | {"attacks"}),
         (["convert", "--n", "9", "--f", "majority"], _RING),
         (["analyze", "--n", "8", "--f", "v:111110000"], _ENGINE),
-        (["search", "--n", "4"], _ENGINE),
-        (["tables"], _ENGINE),
+        (["search", "--n", "4"], _ENGINE | {"search"}),
+        (["tables"], _RING | {"attacks"}),
     ],
     ids=["attack", "stat", "convert", "analyze", "search", "tables"],
 )

@@ -11,7 +11,8 @@ import symfai as s
 from symfai import immunity
 from symfai.cli import main
 from symfai.errors import CapabilityError, InvariantViolation
-from symfai.search import lower_degree_table, profile_all, tables_csv, upper_ai_table, write_profiles_jsonl
+from symfai.attacks import lower_degree_table, tables_csv, upper_ai_table
+from symfai.search import profile_all, write_profiles_jsonl
 
 from conftest import graded_reference, json_reference, run_python
 
