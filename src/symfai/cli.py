@@ -12,7 +12,9 @@ invariant violation (the message carries the counterexample).
 Each handler imports the modules it runs, so a launch compiles only those:
 attack, stat and tables load the SANFV ring and attacks, convert the ring
 alone, analyze the immunity engine as well, and search the census on top
-of it.  No command loads the dense oracle.
+of it.  No command loads the dense oracle.  search uses up to two
+processes from n = 10: a forked worker folds half of SB_n, and the output
+is the same bytes as one process's.
 """
 
 from __future__ import annotations
@@ -122,10 +124,8 @@ def _run_attack(args) -> int:
 def _run_search(args) -> int:
     from . import search
 
-    if args.out:
-        report = search._census_jsonl(args.n, args.budget_seconds, args.out)
-    else:
-        report = search._census(args.n, args.budget_seconds)
+    report = search._search(args.n, args.budget_seconds, args.out)
+    if not args.out:
         sys.stdout.write(_dump(report.to_json_dict(), args.format))
     if report.violations:
         sys.stderr.write("bound violations found:\n" + "\n".join(report.violations) + "\n")

@@ -7,23 +7,40 @@ fold over a stream of profiles: profile_all keeps them, while the MAI
 census and the JSONL writer of ``search --out`` drop each one once it is
 read, so their memory follows the distinct witnesses, not the 2^(n+1)
 profiles.
+
+The library calls fold in one process.  The census of the search command
+uses up to two processes from n = 10: a forked worker folds the upper
+half of the SANFV range while the caller folds the lower half, and the
+halves are merged in SANFV order, so its summary, output file, stderr and
+exit code are those of the one-process fold.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
 import shutil
+import sys
 import tempfile
 import time
+import warnings
 from dataclasses import dataclass, replace
 
 from . import immunity
 from .attacks import bound_suite
-from .errors import CapabilityError
+from .errors import CapabilityError, InvariantViolation
 from .immunity import ImmunityProfile, _ProfileRenderer
 from .sanfv import Sanfv, _check_n
+
+# Below this n a fork costs more than the half of the census it saves: on
+# two CPUs n = 7 and 8 were slower forked and n = 9 was even.
+_FAN_OUT_N = 10
+
+# The exceptions a census raises that the command reports by type; a
+# worker relays any other as a RuntimeError that carries its traceback.
+_RELAYED = (CapabilityError, InvariantViolation, ValueError, OSError)
 
 
 @dataclass(frozen=True)
@@ -56,28 +73,35 @@ class SearchReport:
         }
 
 
-def _census(n: int, budget_seconds: float | None = None, each=None) -> SearchReport:
-    """Profile every f in SB_n in SANFV integer order and fold the summary as it goes.
-
-    Each profile is handed to each (when it is not None) and then dropped,
-    so the fold holds only the summary: the report's profiles are empty.
-    """
+def _start(n: int, budget_seconds: float | None) -> float:
+    """Check the census request and return the time its budget counts from."""
     _check_n(n)
     if budget_seconds is not None and not math.isfinite(budget_seconds):
         raise ValueError(f"budget must be a finite number of seconds, got {budget_seconds}")
+    return time.monotonic()
 
-    start = time.monotonic()
+
+def _fold(n: int, lams: range, budget_seconds: float | None, start: float, each=None, parent=None) -> SearchReport:
+    """Profile f = Sanfv(n, lam) for each lam of lams, in order, and fold the summary as it goes.
+
+    Each profile is handed to each (when it is not None) and then dropped,
+    so the fold holds only the summary: the report's profiles are empty and
+    its count is len(lams).  Every 64th lam checks the budget, counted from
+    start, and, in a worker whose parent pid is given, that the parent is
+    still there: an orphaned worker exits, since no one reads its half.
+    """
     violations = []
     max_fai = -1
     max_fai_witnesses: list[str] = []
     mai_list = []
     mai_target = (n + 1) // 2
 
-    count = 1 << (n + 1)
-    for lam in range(count):
-        if budget_seconds is not None and lam % 64 == 0:
-            if time.monotonic() - start > budget_seconds:
+    for lam in lams:
+        if lam % 64 == 0:
+            if budget_seconds is not None and time.monotonic() - start > budget_seconds:
                 raise CapabilityError(f"search budget of {budget_seconds}s exceeded at n={n}")
+            if parent is not None and os.getppid() != parent:
+                os._exit(1)
         f = Sanfv(n, lam)
         p = immunity.profile(f)
         if each is not None:
@@ -95,7 +119,7 @@ def _census(n: int, budget_seconds: float | None = None, each=None) -> SearchRep
 
     return SearchReport(
         n=n,
-        count=count,
+        count=len(lams),
         max_fai=max_fai,
         max_fai_witnesses=tuple(max_fai_witnesses),
         mai_list=tuple(mai_list),
@@ -103,6 +127,30 @@ def _census(n: int, budget_seconds: float | None = None, each=None) -> SearchRep
         wall_time_s=time.monotonic() - start,
         profiles=(),
     )
+
+
+def _merge(low: SearchReport, high: SearchReport) -> SearchReport:
+    """The report of one fold over low's range followed by high's."""
+    if low.max_fai == high.max_fai:
+        witnesses = low.max_fai_witnesses + high.max_fai_witnesses
+    else:
+        witnesses = max(low, high, key=lambda r: r.max_fai).max_fai_witnesses
+    return SearchReport(
+        n=low.n,
+        count=low.count + high.count,
+        max_fai=max(low.max_fai, high.max_fai),
+        max_fai_witnesses=witnesses,
+        mai_list=low.mai_list + high.mai_list,
+        violations=low.violations + high.violations,
+        wall_time_s=max(low.wall_time_s, high.wall_time_s),
+        profiles=low.profiles + high.profiles,
+    )
+
+
+def _census(n: int, budget_seconds: float | None = None, each=None) -> SearchReport:
+    """Profile every f in SB_n in SANFV integer order, in this process, and fold the summary."""
+    start = _start(n, budget_seconds)
+    return _fold(n, range(1 << (n + 1)), budget_seconds, start, each)
 
 
 def profile_all(n: int, budget_seconds: float | None = None) -> SearchReport:
@@ -125,12 +173,148 @@ def find_symmetric_mai(n: int) -> list[Sanfv]:
     return [Sanfv.from_string(n, text) for text in _census(n).mai_list]
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _search(n: int, budget_seconds: float | None, path: str | None) -> SearchReport:
+    """The census of the search command: its report and, when path is given, its JSONL file.
+
+    From n = 10 up to the exact cap, with two usable CPUs, the census is
+    folded by two processes (see _fan_out); otherwise by this one.  Either
+    way the report and the file are those of _census and
+    write_profiles_jsonl(profile_all(n), path).
+    """
+    if _FAN_OUT_N <= n <= immunity.MAX_EXACT_N and _usable_cpus() >= 2:
+        chunks, census = 2, lambda *bodies: _fan_out(n, budget_seconds, bodies)
+    else:
+        chunks, census = 1, lambda each=None: _census(n, budget_seconds, each)
+    return census() if path is None else _write_jsonl(path, census, chunks)
+
+
+def _fan_out(n: int, budget_seconds: float | None, bodies) -> SearchReport:
+    """_census(n, budget_seconds) folded by this process and one forked worker.
+
+    This process folds the lower half of the SANFV range and the worker
+    the upper half; both are even-aligned, so f and f+1, which share one
+    scan, stay in one half.  The per-n tables are built before the fork,
+    and gc.freeze keeps the worker from copying the pages they live on.
+    bodies is empty, or holds one _Body per half, into which each half's
+    profiles are rendered.  The worker sends its report, or the error that
+    stopped it, as JSON on a pipe, which is read to its end before the
+    worker is reaped, so a long message cannot block it.  The worker leaves
+    by os._exit, so it runs no cleanup of its parent's.  If this half
+    fails, the worker is killed and reaped before the error goes on; an
+    error of the worker's half is raised after this half, as a single fold
+    would raise the lower half's error first.
+    """
+    start = _start(n, budget_seconds)
+    count = 1 << (n + 1)
+    low, high = range(count // 2), range(count // 2, count)
+    each_low, each_high = bodies or (None, None)
+    immunity._orbits(n)
+    immunity._class_product_pieces(n)
+    immunity._weight_class_tables(n)
+    sys.stdout.flush()
+    sys.stderr.flush()
+    parent = os.getpid()
+    read_end, write_end = os.pipe()
+    gc.freeze()
+    try:
+        try:
+            with warnings.catch_warnings():
+                # Python 3.12 warns that a fork of a multi-threaded process
+                # (here numpy's OpenBLAS pool) may deadlock in the child.  The
+                # worker calls no BLAS routine, so it takes none of the
+                # pool's locks, and it leaves by os._exit.
+                warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded", DeprecationWarning)
+                pid = os.fork()
+        except OSError:
+            os.close(read_end)
+            os.close(write_end)
+            raise
+        if pid == 0:
+            os.close(read_end)
+            _work(write_end, lambda: _fold(n, high, budget_seconds, start, each_high, parent), each_high)
+        os.close(write_end)
+        try:
+            with open(read_end, "rb") as pipe:
+                mine = _fold(n, low, budget_seconds, start, each_low)
+                message = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+        except BaseException:
+            import signal
+
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            raise
+    finally:
+        gc.unfreeze()
+    return replace(_merge(mine, _received(n, message, status)), wall_time_s=time.monotonic() - start)
+
+
+def _work(write_end: int, fold, body) -> None:
+    """Run a worker's fold, send its report or error on write_end, and leave the process.
+
+    The worker never returns into the stack it was forked from, whatever
+    it raises: an error it cannot send (the parent is gone) ends it with
+    status 1.
+    """
+    code = 1
+    try:
+        try:
+            message = {"report": fold().to_json_dict()}
+            if body is not None:
+                body.file.flush()
+        except Exception as exc:
+            kind = next((i for i, cls in enumerate(_RELAYED) if isinstance(exc, cls)), None)
+            if kind is None:
+                import traceback
+
+                message = {"error": None, "text": traceback.format_exc()}
+            else:
+                message = {"error": kind, "text": str(exc)}
+        with open(write_end, "w", encoding="utf-8") as pipe:
+            json.dump(message, pipe)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _received(n: int, message: bytes, status: int) -> SearchReport:
+    """The worker's report, from what it sent and its wait status; raises what stopped it."""
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0:
+        import signal
+
+        how = f"was killed by {signal.Signals(-code).name}" if code < 0 else f"exited with status {code}"
+        raise CapabilityError(f"the census worker of n={n} {how}")
+    sent = json.loads(message)
+    if "report" not in sent:
+        kind = sent["error"]
+        raise (RuntimeError if kind is None else _RELAYED[kind])(sent["text"])
+    report = sent["report"]
+    return SearchReport(
+        n=report["n"],
+        count=report["count"],
+        max_fai=report["max_fai"],
+        max_fai_witnesses=tuple(report["max_fai_witnesses"]),
+        mai_list=tuple(report["mai_list"]),
+        violations=tuple(report["violations"]),
+        wall_time_s=0.0,
+        profiles=(),
+    )
+
+
 def write_profiles_jsonl(report: SearchReport, path: str) -> None:
     """Dump one profile per line (stable field order) so reruns can be diffed.
 
     The first line is the summary; each profile line holds the bytes of
     json.dumps(p.to_json_dict(), sort_keys=True).  This is the writer of
-    _census_jsonl, run over the report's profiles.
+    ``search --out``, run over the report's profiles.
     """
 
     def replay(emit) -> SearchReport:
@@ -141,43 +325,55 @@ def write_profiles_jsonl(report: SearchReport, path: str) -> None:
     _write_jsonl(path, replay)
 
 
-def _census_jsonl(n: int, budget_seconds: float | None, path: str) -> SearchReport:
-    """Run the census of SB_n into path as write_profiles_jsonl(profile_all(n), path) would.
+class _Body:
+    """One anonymous staging file of a JSONL write; calling it renders a profile's line into it.
 
-    Each line is written as its profile is made, so no profile is held.
+    One immunity._ProfileRenderer renders all of its lines, so each distinct
+    witness is listed, and each monomial's text made, once per body.
     """
-    return _write_jsonl(path, lambda emit: _census(n, budget_seconds, emit))
+
+    def __init__(self, directory: str):
+        self.file = tempfile.TemporaryFile("w+", encoding="utf-8", dir=directory)
+        self._write = self.file.write
+        self._render = _ProfileRenderer((", ", ": "), memo_monomials=True).render
+
+    def __call__(self, p: ImmunityProfile) -> None:
+        self._write(self._render(p))
 
 
-def _write_jsonl(path: str, census) -> SearchReport:
+def _write_jsonl(path: str, census, chunks: int = 1) -> SearchReport:
     """Write the summary line and then one line per profile to path; return the report.
 
-    census(emit) calls emit on each profile in order and returns the
-    report.  One immunity._ProfileRenderer renders the whole file, so each distinct
-    witness is listed, and each monomial's text made, once per write.  The
-    summary comes first but is known last, so the profile lines go, as they
-    are rendered, to an anonymous temporary file in path's directory; then
-    path gets the summary line and the temporary file's bytes.  The file
-    has no name (O_TMPFILE on Linux, unlinked at creation on other POSIX
-    systems), so the operating system removes it when it is closed or the
-    process dies, however it dies.  If census raises, or the directory does
-    not exist, path is neither created nor truncated.  An existing file or
-    directory at path is opened for writing (not truncated) before the
-    census, so an unwritable target fails at once; FIFOs are not opened.
+    census(*bodies) is given one _Body per chunk of the profiles, calls
+    each chunk's body on its profiles in order and returns the report.  The
+    summary comes first but is known last, so the profile lines go, as
+    they are rendered, to anonymous temporary files in path's directory;
+    then path gets the summary line and the files' bytes, chunk by chunk.
+    The files have no name (O_TMPFILE on Linux, unlinked at creation on
+    other POSIX systems), so the operating system removes them when they
+    are closed or the process dies, however it dies.  If census raises, or
+    the directory does not exist, path is neither created nor truncated.
+    An existing file or directory at path is opened for writing (not
+    truncated) before the census, so an unwritable target fails at once;
+    FIFOs are not opened.
     """
     if os.path.isfile(path) or os.path.isdir(path):
         os.close(os.open(path, os.O_WRONLY))
+    bodies: list[_Body] = []
     try:
-        body = tempfile.TemporaryFile("w+", encoding="utf-8", dir=os.path.dirname(path) or ".")
-    except OSError as exc:  # name the target, not the temporary file
-        raise type(exc)(exc.errno, exc.strerror, path) from None
-    with body:
-        render = _ProfileRenderer((", ", ": "), memo_monomials=True).render
-        write = body.write
-        report = census(lambda p: write(render(p)))
-        body.seek(0)
+        try:
+            for _ in range(chunks):
+                bodies.append(_Body(os.path.dirname(path) or "."))
+        except OSError as exc:  # name the target, not the temporary file
+            raise type(exc)(exc.errno, exc.strerror, path) from None
+        report = census(*bodies)
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(json.dumps(report.to_json_dict(), sort_keys=True) + "\n")
             handle.flush()
-            shutil.copyfileobj(body.buffer, handle.buffer)
+            for body in bodies:
+                body.file.seek(0)
+                shutil.copyfileobj(body.file.buffer, handle.buffer)
+    finally:
+        for body in bodies:
+            body.file.close()
     return report

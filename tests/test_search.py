@@ -1,14 +1,21 @@
 """Exhaustive search harness: reports, MAI census, tables, persistence."""
 
+import contextlib
 import dataclasses
 import gc
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 import weakref
+from pathlib import Path
 
 import pytest
 
 import symfai as s
-from symfai import immunity
+from symfai import immunity, search
 from symfai.cli import main
 from symfai.errors import CapabilityError, InvariantViolation
 from symfai.attacks import lower_degree_table, tables_csv, upper_ai_table
@@ -80,7 +87,9 @@ def _most_profiles_alive(monkeypatch, run):
 
 
 def test_streamed_census_holds_no_profile(monkeypatch, tmp_path):
-    # the current profile and the one before it, whose names the loop still binds
+    # the current profile and the one before it, whose names the loop still
+    # binds; one CPU keeps the whole census in this process
+    monkeypatch.setattr(search, "_usable_cpus", lambda: 1)
     for run in (
         lambda: s.find_symmetric_mai(8),
         lambda: main(["search", "--n", "8"]),
@@ -276,6 +285,7 @@ search._write_jsonl(sys.argv[1], census)
 def test_out_of_a_failing_census_keeps_the_target(tmp_path, monkeypatch, capsys):
     # a census that raises with lines already staged exits 4, leaves the
     # earlier file byte-identical and leaves no other file
+    monkeypatch.setattr(search, "_usable_cpus", lambda: 1)
     target = tmp_path / "census.jsonl"
     assert main(["search", "--n", "4", "--out", str(target)]) == 0
     before = target.read_bytes()
@@ -369,3 +379,212 @@ def test_profiles_jsonl_lists_equal_but_separate_witnesses(tmp_path):
     assert len(lines) == report.count + 1
     for line, p in zip(lines[1:], report.profiles):
         assert line == json.dumps(p.to_json_dict(), sort_keys=True), p.f.to_string()
+
+
+# ---------------------------------------------------------------------------
+# the search command's census on two processes
+# ---------------------------------------------------------------------------
+
+
+def _summary(report) -> str:
+    return json.dumps(report.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _counted_forks(monkeypatch) -> list:
+    """Record each os.fork call of this process."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+    return forks
+
+
+@pytest.mark.skipif(search._usable_cpus() < 2, reason="the census fans out only with two usable CPUs")
+@pytest.mark.parametrize("n", [10, 11, 12])
+def test_fanned_out_search_equals_the_one_process_census(n, tmp_path, monkeypatch, capsys):
+    forks = _counted_forks(monkeypatch)
+    streamed, written = tmp_path / "streamed.jsonl", tmp_path / "written.jsonl"
+    assert main(["search", "--n", str(n), "--out", str(streamed)]) == 0
+    assert main(["search", "--n", str(n)]) == 0
+    out, err = capsys.readouterr()
+    assert len(forks) == 2 and err == ""
+    report = profile_all(n)
+    write_profiles_jsonl(report, str(written))
+    assert streamed.read_bytes() == written.read_bytes()
+    assert out == _summary(report)
+    assert sorted(tmp_path.iterdir()) == [streamed, written]
+
+
+def _report(max_fai, witnesses, mai, violations):
+    return search.SearchReport(3, 4, max_fai, witnesses, mai, violations, 0.0, ())
+
+
+@pytest.mark.parametrize(
+    "high_fai, witnesses",
+    [(6, ("c",)), (5, ("a", "b", "c")), (4, ("a", "b"))],
+    ids=["above", "equal", "below"],
+)
+def test_merge_keeps_the_order_of_one_fold(high_fai, witnesses):
+    low = _report(5, ("a", "b"), ("m1", "m2"), ("v1",))
+    high = _report(high_fai, ("c",), ("m3",), ("v2", "v3"))
+    merged = search._merge(low, high)
+    assert (merged.count, merged.max_fai, merged.max_fai_witnesses) == (8, max(5, high_fai), witnesses)
+    assert merged.mai_list == ("m1", "m2", "m3")
+    assert merged.violations == ("v1", "v2", "v3")
+
+
+def test_merged_halves_equal_the_whole_census():
+    # SB_6 has bound violations; no lam below 16 reaches its maximum FAI,
+    # and a split at 22 leaves maximal functions in both halves
+    whole = search._census(6)
+    for split in (0, 16, 22, 64, 100, 128):
+        low, high = (search._fold(6, lams, None, 0.0) for lams in (range(split), range(split, 128)))
+        merged = search._merge(low, high)
+        assert _summary(merged) == _summary(whole), split
+
+
+def test_library_calls_never_fork(monkeypatch):
+    def fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", fork)
+    report = profile_all(10)
+    assert s.find_symmetric_mai(10) == [s.Sanfv.from_string(10, t) for t in report.mai_list]
+    # the capability check runs before any fork
+    assert main(["search", "--n", "15"]) == 3
+
+
+_TEST_PID = os.getpid()
+
+
+def _fail_at(monkeypatch, lam, act):
+    """Make immunity.profile call act() at Sanfv(10, lam); the fork inherits the patch."""
+    real = immunity.profile
+
+    def failing(f):
+        if f.bits == lam:
+            act()
+        return real(f)
+
+    monkeypatch.setattr(immunity, "profile", failing)
+
+
+def _raise_invariant():
+    raise InvariantViolation("injected")
+
+
+def _exceed_budget():
+    # this process's clock alone jumps past any budget
+    assert os.getpid() != _TEST_PID, "the clock of the test process jumped"
+    real = time.monotonic
+    time.monotonic = lambda: real() + 1e9
+
+
+def _kill_self():
+    assert os.getpid() != _TEST_PID, "the test process was to be killed"
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize(
+    "lam, act, code, message",
+    [
+        (1024 + 65, _raise_invariant, 4, "invariant violation: injected\n"),
+        (65, _raise_invariant, 4, "invariant violation: injected\n"),
+        (1024 + 65, _exceed_budget, 3, "capability error: search budget of 1000.0s exceeded at n=10\n"),
+        (1024 + 65, _kill_self, 3, "capability error: the census worker of n=10 was killed by SIGKILL\n"),
+    ],
+    ids=["worker-invariant", "parent-invariant", "worker-budget", "worker-killed"],
+)
+def test_a_failing_fanned_out_census_reports_like_one_process(lam, act, code, message, tmp_path, monkeypatch, capsys):
+    # SB_10's upper half, lam >= 1024, is the worker's
+    target = tmp_path / "census.jsonl"
+    target.write_text("kept\n")
+    monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
+    forks = _counted_forks(monkeypatch)
+    _fail_at(monkeypatch, lam, act)
+    capsys.readouterr()
+    argv = ["search", "--n", "10", "--budget-seconds", "1000", "--out", str(target)]
+    with _deadline(60):
+        assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert (len(forks), out, err) == (1, "", message)
+    _assert_left_as_it_was(target)
+    if act is _raise_invariant:  # one process fails with the same words
+        monkeypatch.setattr(search, "_usable_cpus", lambda: 1)
+        assert main(argv) == code
+        assert capsys.readouterr() == ("", message)
+
+
+def test_a_fanned_out_census_relays_an_unexpected_error_with_its_traceback(tmp_path, monkeypatch):
+    target = tmp_path / "census.jsonl"
+    target.write_text("kept\n")
+    monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
+    _fail_at(monkeypatch, 1024 + 65, lambda: 1 // 0)
+    with _deadline(60), pytest.raises(RuntimeError, match="(?s)Traceback.*ZeroDivisionError"):
+        main(["search", "--n", "10", "--out", str(target)])
+    _assert_left_as_it_was(target)
+
+
+@contextlib.contextmanager
+def _deadline(seconds: int):
+    """Fail, rather than hang, a block that runs longer than seconds."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _assert_left_as_it_was(target):
+    """The target keeps its bytes, no other file is in its directory and no child process is left."""
+    assert list(target.parent.iterdir()) == [target] and target.read_text() == "kept\n"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="finds the worker through /proc")
+@pytest.mark.skipif(search._usable_cpus() < 2, reason="the census fans out only with two usable CPUs")
+def test_the_worker_of_a_killed_census_exits(tmp_path):
+    src = str(Path(s.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "symfai.cli", "search", "--n", "14", "--out", str(tmp_path / "census.jsonl")]
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        while not (children := _children(proc.pid)):
+            assert proc.poll() is None and time.monotonic() < deadline, "no worker was forked"
+            time.sleep(0.01)
+    finally:
+        proc.kill()
+        proc.wait()
+    [worker] = children
+    deadline = time.monotonic() + 2
+    while _running(worker):
+        assert time.monotonic() < deadline, "the worker outlived its parent"
+        time.sleep(0.01)
+    assert list(tmp_path.iterdir()) == []
+
+
+def _children(pid: int) -> list[int]:
+    """Child pids of a process, from /proc/<pid>/task/*/children."""
+    found = []
+    for task in Path(f"/proc/{pid}/task").glob("*"):
+        try:
+            found += map(int, (task / "children").read_text().split())
+        except OSError:
+            pass
+    return found
+
+
+def _running(pid: int) -> bool:
+    """True while pid is a process that has not exited (a zombie has)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
