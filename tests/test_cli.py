@@ -1,9 +1,13 @@
 """Command line behaviour: outputs, determinism, exit codes."""
 
+import atexit
+import gc
 import io
 import json
 import random
+import sys
 import tracemalloc
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -392,3 +396,109 @@ def test_cross_process_determinism(tmp_path):
         assert proc.returncode == 0, proc.stderr.decode()
         outputs.append(path.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+# A process that the CLI owns freezes its heap at exit (cli.main with no
+# argv), so nothing may depend on the collector finalizing leftovers there.
+
+_CLI_ENTRY = "import sys; from symfai.cli import main; sys.exit(main())"
+_FREEZE_PROBE = (
+    "import atexit, gc, os, sys\n"
+    "atexit.register(lambda: os.write(2, b'frozen: %d\\n' % gc.get_freeze_count()))\n"
+    "sys.argv = ['symfai', 'tables']\n"
+    "from symfai.cli import main\n"
+    "sys.exit(main({}))\n"
+)
+
+
+def test_a_cli_process_freezes_its_heap_at_exit():
+    # the probe registers before main, so it runs after main's hook (atexit is LIFO)
+    proc = run_python("-c", _FREEZE_PROBE.format(""), text=True)
+    assert proc.returncode == 0
+    assert proc.stdout == run_cli(["tables"])[1]
+    frozen = int(proc.stderr.removeprefix("frozen: "))
+    assert frozen > 0
+    # the same launch through main(argv) freezes nothing
+    proc = run_python("-c", _FREEZE_PROBE.format("sys.argv[1:]"), text=True)
+    assert (proc.returncode, proc.stderr) == (0, "frozen: 0\n")
+
+
+def test_main_with_argv_registers_no_exit_hook(monkeypatch):
+    registered = []
+    monkeypatch.setattr(atexit, "register", registered.append)
+    frozen = gc.get_freeze_count()
+    assert run_cli(["tables"])[0] == 0
+    assert registered == [] and gc.get_freeze_count() == frozen
+    # main() with no argv reads sys.argv and registers the hook
+    monkeypatch.setattr(sys, "argv", ["symfai", "tables"])
+    assert run_cli(None)[0] == 0
+    assert registered == [gc.freeze] and gc.get_freeze_count() == frozen
+
+
+def _attack_spec(n: int) -> str:
+    return s.Sanfv(n, random.Random(n).getrandbits(n) | 1 << n).to_string()
+
+
+@pytest.mark.parametrize(
+    "argv, out, status",
+    [
+        (["analyze", "--n", "14", "--f", "v:000000011111111"], None, 0),
+        (["analyze", "--n", "14", "--f", "v:000000011111111", "--format", "pretty"], None, 0),
+        (["attack", "--n", "4097", "--f", _attack_spec(4097)], None, 0),
+        (["search", "--n", "8"], "census.jsonl", 0),
+        (["search", "--n", "6"], None, 4),
+        (["analyze", "--n", "5", "--f", "majority"], "missing/x.json", 2),
+    ],
+    ids=["analyze-json", "analyze-pretty", "attack", "search-out", "search-violations", "out-missing-directory"],
+)
+@pytest.mark.parametrize("entry", [("-m", "symfai.cli"), ("-c", _CLI_ENTRY)], ids=["module", "script"])
+def test_a_cli_process_prints_what_main_argv_returns(tmp_path, argv, out, status, entry):
+    def run(where, launch):
+        where.mkdir()
+        args = argv if out is None else [*argv, "--out", str(where / out)]
+        code, stdout, stderr = launch(args)
+        written = (where / out).read_bytes() if out and (where / out).exists() else None
+        # the two runs differ only by their directory, which a message may name
+        return code, stdout, stderr.replace(str(where), "<dir>"), written
+
+    def fresh(args):
+        proc = run_python(*entry, *args)
+        return proc.returncode, proc.stdout, proc.stderr.decode()
+
+    def in_process(args):
+        code, stdout, stderr = run_cli(args)
+        return code, stdout.encode(), stderr
+
+    expected = run(tmp_path / "in-process", in_process)
+    assert run(tmp_path / "fresh", fresh) == expected
+    assert expected[0] == status
+
+
+@pytest.mark.parametrize(
+    "argv, out, status",
+    [
+        (["analyze", "--n", "12", "--f", "v:0000000111111"], None, 0),
+        (["analyze", "--n", "8", "--f", "sigma:4"], "analyze.json", 0),
+        (["attack", "--n", "9", "--f", "majority"], None, 0),
+        (["stat", "--n", "65", "--samples", "20"], "stat.json", 0),
+        (["convert", "--n", "9", "--f", "majority"], None, 0),
+        (["tables"], "tables.csv", 0),
+        (["search", "--n", "10"], "census.jsonl", 0),
+        (["search", "--n", "6"], "census.jsonl", 4),
+        (["search", "--n", "3"], "missing/census.jsonl", 2),
+        (["analyze", "--n", "5", "--f", "majority"], "missing/x.json", 2),
+    ],
+    ids=["analyze", "analyze-out", "attack", "stat-out", "convert", "tables-out", "search-out",
+         "search-violations", "search-missing-directory", "analyze-missing-directory"],
+)
+def test_every_command_closes_what_it_opens(tmp_path, monkeypatch, argv, out, status):
+    # a warning from a finalizer reaches sys.unraisablehook, not the caller
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    args = argv if out is None else [*argv, "--out", str(tmp_path / out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        code, _, _ = run_cli(args)
+        gc.collect()
+    assert [(u.exc_type, str(u.exc_value)) for u in unraisable] == []
+    assert code == status
