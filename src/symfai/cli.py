@@ -92,7 +92,7 @@ def _dump(payload, fmt: str) -> str:
 
 
 def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
+    if out_path is not None:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
@@ -135,7 +135,7 @@ def _run_search(args) -> int:
     from . import search
 
     report = search._search(args.n, args.budget_seconds, args.out)
-    if not args.out:
+    if args.out is None:
         sys.stdout.write(_dump(report.to_json_dict(), args.format))
     if report.violations:
         sys.stderr.write("bound violations found:\n" + "\n".join(report.violations) + "\n")
@@ -189,6 +189,8 @@ def main(argv=None) -> int:
         atexit.register(gc.freeze)
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.out == "":  # every command has --out; reject an empty one before any work
+        parser.error("argument --out: expected a path, got ''")
     try:
         return _HANDLERS[args.command](args)
     except (ValueError, OSError) as exc:

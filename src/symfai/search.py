@@ -8,11 +8,15 @@ census and the JSONL writer of ``search --out`` drop each one once it is
 read, so their memory follows the distinct witnesses, not the 2^(n+1)
 profiles.
 
-The library calls fold in one process.  The census of the search command
-uses up to two processes from n = 10: a forked worker folds the upper
-half of the SANFV range while the caller folds the lower half, and the
-halves are merged in SANFV order, so its summary, output file, stderr and
-exit code are those of the one-process fold.
+The library calls fold in one process.  The census of the search command,
+_search, uses up to two processes from n = 10: a forked worker folds the
+upper half of the SANFV range while the caller folds the lower half, the
+worker sends back its report (or its error) pickled, and the halves are
+merged in SANFV order, so the summary, output file, stderr and exit code
+are those of the one-process fold.  The per-n tables the worker shares
+are built by profiling f = 0 before the fork.  write_profiles_jsonl, the
+reference writer of the tests, writes a report's lines directly and
+shares no staging code with the command.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import gc
 import json
 import math
 import os
+import pickle
 import shutil
 import sys
 import tempfile
@@ -183,102 +188,124 @@ def _usable_cpus() -> int:
 def _search(n: int, budget_seconds: float | None, path: str | None) -> SearchReport:
     """The census of the search command: its report and, when path is given, its JSONL file.
 
-    From n = 10 up to the exact cap, with two usable CPUs, the census is
-    folded by two processes (see _fan_out); otherwise by this one.  Either
-    way the report and the file are those of _census and
-    write_profiles_jsonl(profile_all(n), path).
-    """
-    if _FAN_OUT_N <= n <= immunity.MAX_EXACT_N and _usable_cpus() >= 2:
-        chunks, census = 2, lambda *bodies: _fan_out(n, budget_seconds, bodies)
-    else:
-        chunks, census = 1, lambda each=None: _census(n, budget_seconds, each)
-    return census() if path is None else _write_jsonl(path, census, chunks)
+    The report and the file are those of _census(n, budget_seconds) and
+    write_profiles_jsonl(profile_all(n), path).  From n = 10 up to the
+    exact cap, with two usable CPUs, the SANFV range is split into two
+    even-aligned halves, so f and f+1, which share one scan, stay in one
+    half; a forked worker folds the upper half while this process folds the
+    lower, and the halves are merged in SANFV order.  Otherwise this process
+    folds the whole range.
 
+    With a path, each range's profile lines go, as they are rendered, to a
+    _Body of its own in path's directory.  The summary comes first but is
+    known last, so path gets the summary line and then the bodies' bytes
+    once the census is done.  If the census raises, or the directory does
+    not exist, path is neither created nor truncated.  An existing file or
+    directory at path is opened for writing (not truncated) before the
+    census, so an unwritable target fails at once; FIFOs are not opened.
 
-def _fan_out(n: int, budget_seconds: float | None, bodies) -> SearchReport:
-    """_census(n, budget_seconds) folded by this process and one forked worker.
-
-    This process folds the lower half of the SANFV range and the worker
-    the upper half; both are even-aligned, so f and f+1, which share one
-    scan, stay in one half.  The per-n tables are built before the fork,
-    and gc.freeze keeps the worker from copying the pages they live on.
-    bodies is empty, or holds one _Body per half, into which each half's
-    profiles are rendered.  The worker sends its report, or the error that
-    stopped it, as JSON on a pipe, which is read to its end before the
-    worker is reaped, so a long message cannot block it.  The worker leaves
-    by os._exit, so it runs no cleanup of its parent's.  If this half
+    Before the fork this process profiles f = 0, which builds the per-n
+    tables, and gc.freeze keeps the worker from copying the pages they live
+    on.  The worker's result (see _work) is read to its end before the
+    worker is reaped, so a long message cannot block it.  If this half
     fails, the worker is killed and reaped before the error goes on; an
     error of the worker's half is raised after this half, as a single fold
     would raise the lower half's error first.
     """
-    start = _start(n, budget_seconds)
-    count = 1 << (n + 1)
-    low, high = range(count // 2), range(count // 2, count)
-    each_low, each_high = bodies or (None, None)
-    immunity._orbits(n)
-    immunity._class_product_pieces(n)
-    immunity._weight_class_tables(n)
-    sys.stdout.flush()
-    sys.stderr.flush()
-    parent = os.getpid()
-    read_end, write_end = os.pipe()
-    gc.freeze()
+    parts = 2 if _FAN_OUT_N <= n <= immunity.MAX_EXACT_N and _usable_cpus() >= 2 else 1
+    bodies: list[_Body] = []
     try:
-        try:
-            with warnings.catch_warnings():
-                # Python 3.12 warns that a fork of a multi-threaded process
-                # (here numpy's OpenBLAS pool) may deadlock in the child.  The
-                # worker calls no BLAS routine, so it takes none of the
-                # pool's locks, and it leaves by os._exit.
-                warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded", DeprecationWarning)
-                pid = os.fork()
-        except OSError:
-            os.close(read_end)
-            os.close(write_end)
-            raise
-        if pid == 0:
-            os.close(read_end)
-            _work(write_end, lambda: _fold(n, high, budget_seconds, start, each_high, parent), each_high)
-        os.close(write_end)
-        try:
-            with open(read_end, "rb") as pipe:
-                mine = _fold(n, low, budget_seconds, start, each_low)
-                message = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-        except BaseException:
-            import signal
+        if path is not None:
+            if os.path.isfile(path) or os.path.isdir(path):
+                os.close(os.open(path, os.O_WRONLY))
+            try:
+                for _ in range(parts):
+                    bodies.append(_Body(os.path.dirname(path) or "."))
+            except OSError as exc:  # name the target, not the temporary file
+                raise type(exc)(exc.errno, exc.strerror, path) from None
+        start = _start(n, budget_seconds)
+        size = (1 << (n + 1)) // parts
+        lams = [range(i * size, (i + 1) * size) for i in range(parts)]
+        each = bodies or [None] * parts
+        if parts == 1:
+            report = _fold(n, lams[0], budget_seconds, start, each[0])
+        else:
+            immunity.profile(Sanfv(n, 0))
+            sys.stdout.flush()
+            sys.stderr.flush()
+            parent = os.getpid()
+            read_end, write_end = os.pipe()
+            gc.freeze()
+            try:
+                try:
+                    with warnings.catch_warnings():
+                        # Python 3.12 warns that a fork of a multi-threaded process (here
+                        # numpy's OpenBLAS pool) may deadlock in the child.  The worker
+                        # calls no BLAS routine, so it takes none of the pool's locks, and
+                        # it leaves by os._exit.
+                        warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded", DeprecationWarning)
+                        pid = os.fork()
+                except OSError:
+                    os.close(read_end)
+                    os.close(write_end)
+                    raise
+                if pid == 0:
+                    os.close(read_end)
+                    _work(write_end, n, lams[1], budget_seconds, start, each[1], parent)
+                os.close(write_end)
+                try:
+                    with open(read_end, "rb") as pipe:
+                        mine = _fold(n, lams[0], budget_seconds, start, each[0])
+                        message = pipe.read()
+                    status = os.waitpid(pid, 0)[1]
+                except BaseException:
+                    import signal
 
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            raise
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                    raise
+            finally:
+                gc.unfreeze()
+            report = _merge(mine, _received(n, message, status))
+        if path is not None:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(json.dumps(report.to_json_dict(), sort_keys=True) + "\n")
+                handle.flush()
+                for body in bodies:
+                    body.file.seek(0)
+                    shutil.copyfileobj(body.file.buffer, handle.buffer)
     finally:
-        gc.unfreeze()
-    return replace(_merge(mine, _received(n, message, status)), wall_time_s=time.monotonic() - start)
+        for body in bodies:
+            body.file.close()
+    return report
 
 
-def _work(write_end: int, fold, body) -> None:
-    """Run a worker's fold, send its report or error on write_end, and leave the process.
+def _work(write_end: int, n: int, lams: range, budget_seconds: float | None, start: float, body, parent: int) -> None:
+    """Fold lams in a forked worker, send the result pickled on write_end, and leave the process.
 
-    The worker never returns into the stack it was forked from, whatever
-    it raises: an error it cannot send (the parent is gone) ends it with
-    status 1.
+    The result is the worker's report; or an error the command reports by
+    type, re-made as its _RELAYED base type with the same text; or, for
+    any other error, a RuntimeError that carries its traceback.  The worker
+    leaves by os._exit, so it runs no cleanup of its parent's and never
+    returns into the stack it was forked from: an error it cannot send
+    (the parent is gone) ends it with status 1.
     """
     code = 1
     try:
         try:
-            message = {"report": fold().to_json_dict()}
+            result = _fold(n, lams, budget_seconds, start, body, parent)
             if body is not None:
                 body.file.flush()
         except Exception as exc:
-            kind = next((i for i, cls in enumerate(_RELAYED) if isinstance(exc, cls)), None)
-            if kind is None:
+            relayed = next((cls for cls in _RELAYED if isinstance(exc, cls)), None)
+            if relayed is None:
                 import traceback
 
-                message = {"error": None, "text": traceback.format_exc()}
+                result = RuntimeError(traceback.format_exc())
             else:
-                message = {"error": kind, "text": str(exc)}
-        with open(write_end, "w", encoding="utf-8") as pipe:
-            json.dump(message, pipe)
+                result = relayed(str(exc))
+        with open(write_end, "wb") as pipe:
+            pickle.dump(result, pipe)
         code = 0
     finally:
         os._exit(code)
@@ -292,44 +319,20 @@ def _received(n: int, message: bytes, status: int) -> SearchReport:
 
         how = f"was killed by {signal.Signals(-code).name}" if code < 0 else f"exited with status {code}"
         raise CapabilityError(f"the census worker of n={n} {how}")
-    sent = json.loads(message)
-    if "report" not in sent:
-        kind = sent["error"]
-        raise (RuntimeError if kind is None else _RELAYED[kind])(sent["text"])
-    report = sent["report"]
-    return SearchReport(
-        n=report["n"],
-        count=report["count"],
-        max_fai=report["max_fai"],
-        max_fai_witnesses=tuple(report["max_fai_witnesses"]),
-        mai_list=tuple(report["mai_list"]),
-        violations=tuple(report["violations"]),
-        wall_time_s=0.0,
-        profiles=(),
-    )
-
-
-def write_profiles_jsonl(report: SearchReport, path: str) -> None:
-    """Dump one profile per line (stable field order) so reruns can be diffed.
-
-    The first line is the summary; each profile line holds the bytes of
-    json.dumps(p.to_json_dict(), sort_keys=True).  This is the writer of
-    ``search --out``, run over the report's profiles.
-    """
-
-    def replay(emit) -> SearchReport:
-        for p in report.profiles:
-            emit(p)
-        return report
-
-    _write_jsonl(path, replay)
+    sent = pickle.loads(message)
+    if isinstance(sent, Exception):
+        raise sent
+    return sent
 
 
 class _Body:
-    """One anonymous staging file of a JSONL write; calling it renders a profile's line into it.
+    """One staging file of search --out; calling it renders a profile's line into it.
 
-    One immunity._ProfileRenderer renders all of its lines, so each distinct
-    witness is listed, and each monomial's text made, once per body.
+    The file has no name (O_TMPFILE on Linux, unlinked at creation on other
+    POSIX systems), so the operating system removes it when it is closed or
+    the process dies, however it dies.  One immunity._ProfileRenderer
+    renders all of its lines, so each distinct witness is listed, and each
+    monomial's text made, once per body.
     """
 
     def __init__(self, directory: str):
@@ -341,39 +344,17 @@ class _Body:
         self._write(self._render(p))
 
 
-def _write_jsonl(path: str, census, chunks: int = 1) -> SearchReport:
-    """Write the summary line and then one line per profile to path; return the report.
+def write_profiles_jsonl(report: SearchReport, path: str) -> None:
+    """Dump one profile per line (stable field order) so reruns can be diffed.
 
-    census(*bodies) is given one _Body per chunk of the profiles, calls
-    each chunk's body on its profiles in order and returns the report.  The
-    summary comes first but is known last, so the profile lines go, as
-    they are rendered, to anonymous temporary files in path's directory;
-    then path gets the summary line and the files' bytes, chunk by chunk.
-    The files have no name (O_TMPFILE on Linux, unlinked at creation on
-    other POSIX systems), so the operating system removes them when they
-    are closed or the process dies, however it dies.  If census raises, or
-    the directory does not exist, path is neither created nor truncated.
-    An existing file or directory at path is opened for writing (not
-    truncated) before the census, so an unwritable target fails at once;
-    FIFOs are not opened.
+    The first line is the summary; each profile line holds the bytes of
+    json.dumps(p.to_json_dict(), sort_keys=True), as in the file of
+    ``search --out``.  The lines are written to path in place, so a write
+    that fails can leave a partial file; the search command stages its
+    lines instead and leaves the target as it was.
     """
-    if os.path.isfile(path) or os.path.isdir(path):
-        os.close(os.open(path, os.O_WRONLY))
-    bodies: list[_Body] = []
-    try:
-        try:
-            for _ in range(chunks):
-                bodies.append(_Body(os.path.dirname(path) or "."))
-        except OSError as exc:  # name the target, not the temporary file
-            raise type(exc)(exc.errno, exc.strerror, path) from None
-        report = census(*bodies)
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(report.to_json_dict(), sort_keys=True) + "\n")
-            handle.flush()
-            for body in bodies:
-                body.file.seek(0)
-                shutil.copyfileobj(body.file.buffer, handle.buffer)
-    finally:
-        for body in bodies:
-            body.file.close()
-    return report
+    render = _ProfileRenderer((", ", ": "), memo_monomials=True).render
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(json.dumps(report.to_json_dict(), sort_keys=True) + "\n")
+        for p in report.profiles:
+            handle.write(render(p))

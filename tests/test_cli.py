@@ -120,6 +120,36 @@ def test_search_out_to_a_directory_fails_before_the_census(tmp_path, monkeypatch
     assert list(tmp_path.iterdir()) == [target] and list(target.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--n", "5", "--f", "majority"],
+        ["attack", "--n", "5", "--f", "majority"],
+        ["search", "--n", "12"],
+        ["convert", "--n", "5", "--f", "majority"],
+        ["tables"],
+        ["stat", "--n", "5", "--samples", "2"],
+    ],
+    ids=["analyze", "attack", "search", "convert", "tables", "stat"],
+)
+def test_empty_out_exits_2_before_any_work(argv, tmp_path, monkeypatch):
+    from symfai import immunity
+
+    def profile(f):
+        raise AssertionError(f"profiled {f.to_string()} for an empty --out")
+
+    # the check comes before any work: no profile is made (analyze and
+    # search would make one) and no file is written
+    monkeypatch.setattr(immunity, "profile", profile)
+    monkeypatch.chdir(tmp_path)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as info:
+        main([*argv, "--out", ""])
+    assert (info.value.code, out.getvalue()) == (2, "")
+    assert err.getvalue().endswith("error: argument --out: expected a path, got ''\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_tables_csv_default():
     code, out, _ = run_cli(["tables"])
     assert code == 0

@@ -264,21 +264,27 @@ def test_streamed_out_equals_the_report_writer(tmp_path):
 
 def test_out_of_a_killed_census_leaves_no_file(tmp_path):
     # the body is staged in a file without a name, so a process that dies
-    # mid-census, with no cleanup run, leaves nothing in the directory
+    # mid-census, with no cleanup run, leaves nothing in the directory; the
+    # exit status 7 shows that the census, and not some other error, ended it
     code = """
 import os, sys
-from symfai import immunity, search
-from symfai.sanfv import Sanfv
+from symfai import immunity
+from symfai.cli import main
 
-def census(emit):
-    for lam in range(40):
-        emit(immunity.profile(Sanfv(5, lam)))
-    os._exit(1)
+real, calls = immunity.profile, 0
 
-search._write_jsonl(sys.argv[1], census)
+def dying(f):
+    global calls
+    calls += 1
+    if calls == 40:
+        os._exit(7)
+    return real(f)
+
+immunity.profile = dying
+main(["search", "--n", "5", "--out", sys.argv[1]])
 """
     proc = run_python("-c", code, str(tmp_path / "census.jsonl"), text=True)
-    assert proc.returncode == 1, proc.stderr
+    assert proc.returncode == 7, proc.stderr
     assert list(tmp_path.iterdir()) == []
 
 
@@ -484,6 +490,14 @@ def _kill_self():
     os.kill(os.getpid(), signal.SIGKILL)
 
 
+def _raise_no_space():
+    raise OSError(28, "No space left on device")
+
+
+def _raise_value_error():
+    raise ValueError("injected")
+
+
 @pytest.mark.parametrize(
     "lam, act, code, message",
     [
@@ -491,8 +505,10 @@ def _kill_self():
         (65, _raise_invariant, 4, "invariant violation: injected\n"),
         (1024 + 65, _exceed_budget, 3, "capability error: search budget of 1000.0s exceeded at n=10\n"),
         (1024 + 65, _kill_self, 3, "capability error: the census worker of n=10 was killed by SIGKILL\n"),
+        (1024 + 65, _raise_no_space, 2, "error: [Errno 28] No space left on device\n"),
+        (1024 + 65, _raise_value_error, 2, "error: injected\n"),
     ],
-    ids=["worker-invariant", "parent-invariant", "worker-budget", "worker-killed"],
+    ids=["worker-invariant", "parent-invariant", "worker-budget", "worker-killed", "worker-oserror", "worker-valueerror"],
 )
 def test_a_failing_fanned_out_census_reports_like_one_process(lam, act, code, message, tmp_path, monkeypatch, capsys):
     # SB_10's upper half, lam >= 1024, is the worker's
@@ -508,7 +524,7 @@ def test_a_failing_fanned_out_census_reports_like_one_process(lam, act, code, me
     out, err = capsys.readouterr()
     assert (len(forks), out, err) == (1, "", message)
     _assert_left_as_it_was(target)
-    if act is _raise_invariant:  # one process fails with the same words
+    if act not in (_exceed_budget, _kill_self):  # one process fails with the same words
         monkeypatch.setattr(search, "_usable_cpus", lambda: 1)
         assert main(argv) == code
         assert capsys.readouterr() == ("", message)
