@@ -1,13 +1,14 @@
-"""Build time and memory of the orbit tables behind exact AI/FAI, n = 10..19.
+"""Build time and memory of the orbit tables behind exact AI/FAI, n = 10..22.
 
 For each n this prints the number of P-orbits of monomials, then the time
 and the tracemalloc peak of building the orbit tables with every orbit row
-(_orbits(n)), which hold no array over the 2^n masks, and of one
-_Orbits.expand, which maps an orbit-coordinate vector to its 2^n ANF
-coefficient bits and is the only step that runs over the 2^n masks.  Times
-are taken with tracemalloc off; each peak comes from a second, traced run.
-Runs above the exact cap MAX_EXACT_N, since these private builders have
-none; n = 19 takes well under a second.
+(_orbits(n), with the per-level block tables already built), and of one
+_Orbits.expand of the vector of every orbit, which lays out all 2^n ANF
+coefficient bits.  Every table is a tuple of ints or a byte string, and
+none runs over the 2^n masks.  Times are taken with tracemalloc off; each
+peak comes from a second, traced run.  Above the exact cap MAX_EXACT_N
+this measures the engine's private builders only (they have no cap);
+n = 22 takes well under a second.
 
 Run:  python demos/orbit_rows_scaling.py
 """
@@ -15,7 +16,7 @@ Run:  python demos/orbit_rows_scaling.py
 import time
 import tracemalloc
 
-from symfai.immunity import _orbits
+from symfai.immunity import _block_parities, _orbits
 
 
 def timed(build, *args):
@@ -29,8 +30,11 @@ def timed(build, *args):
     return seconds, peak / 2**20
 
 
+for level in range(5):
+    _block_parities(level)  # the block tables of levels 0..4, shared by every n up to 31
+
 print(" n  orbits   _orbits(n): s      MB   expand: s      MB")
-for n in range(10, 20):
+for n in range(10, 23):
     orbit_s, orbit_mb = timed(_orbits.__wrapped__, n)
     orbits = _orbits(n)
     # the vector of every orbit: the sum of all 2^n monomials

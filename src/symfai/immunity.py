@@ -28,10 +28,9 @@ orbit of P is a tuple of block orbits, one per block, and its least member
 is the union of theirs.  The row of a point orbit O, against the orbit of a
 monomial rep R, is the parity of #{x in O : x within R}; that count is the
 product of the per-block counts, so the bit is the AND of the per-block
-parities.  The blocks up to n = 31 have at most 231 orbits, so the orbits
-and all their rows are built from block tables alone, with no array over
-the 2^n masks.  Only the expansion of a witness to its 2^n ANF coefficient
-bits maps every mask to its orbit.
+parities.  Every table is a tuple of ints made from the block tables
+(at most 231 orbits per block up to n = 31), and none runs over the 2^n
+masks, not even the expansion of a witness to its ANF (_Orbits.expand).
 
 One scan answers both questions.  For each side s in (f, f+1) the map
 g -> g*s is scanned orbit sum by orbit sum in graded order, both sides
@@ -61,39 +60,35 @@ visits them back to back, scans each pair once.
 
 Witnesses are found as orbit-coordinate vectors and expanded to ANF
 coefficient bits only at the end, then re-checked on 2^n-point truth
-tables, a route that shares nothing with the scan; f's truth table is
-built once per profile for both checks, as the OR of the truth tables of
-its support's weight classes, which come from the recursion
-W(m, k) = W(m-1, k) | W(m-1, k-1) << 2^(m-1) on ints.  The reported
-monomial masks are listed in bulk by gf2.graded_masks (a handful of numpy
-calls per witness, no loop over the 2^n bits), and the checks read the
-witness degrees from these lists.  Few distinct witnesses occur (118 in
-the 2,048 profiles of SB_10), so the expansion, the witness truth table
-and the listing are memoised per distinct orbit vector by one bounded
-cache, _witness.  Its mask tuples take their ints from one lazily filled
-intern table per n, so the witnesses of a census share one int object per
-mask.  Only values of the witness alone are memoised: the
-checks against f's truth table and the reported degrees still run for
+tables, a route that shares nothing with the scan.  f's truth table is
+built once per profile for both checks, as the OR of its support's weight
+classes, from W(m, k) = W(m-1, k) | W(m-1, k-1) << 2^(m-1) on ints.
+gf2.graded_masks lists the reported monomial masks in bulk (a handful of
+numpy calls per witness), and the checks read the witness degrees from
+these lists.  Few distinct witnesses occur (118 in the 2,048 profiles of
+SB_10), so the expansion, the witness truth table and the listing are
+memoised per distinct orbit vector by one bounded cache, _witness, whose
+mask tuples share one int object per mask through an intern table per n.
+The checks against f's truth table and the reported degrees still run for
 every function.  The dense oracle (dense.py) performs the same
 computations over all g from raw truth tables and is used in the test
 suite to cross-check every result; this module imports nothing from it.
 MAX_EXACT_N stays at most dense.MAX_DENSE_N, so every exact n is one the
-oracle can check.  A profile's JSON line is written by _ProfileRenderer from
-the witnesses' masks, byte-equal to json.dumps of to_json_dict's record.
+oracle can check.  A profile's JSON line is written by _ProfileRenderer
+from the witnesses' masks, byte-equal to json.dumps of to_json_dict's record.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import json
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .errors import CapabilityError, InvariantViolation
-from .gf2 import BitBasis, bit_array_to_int, graded_masks, int_to_bit_array, iter_bits, subset_xor_transform
+from .gf2 import BitBasis, graded_masks, iter_bits, subset_xor_transform
 from .sanfv import Sanfv, to_values
 
 if TYPE_CHECKING:
@@ -236,37 +231,39 @@ def _block_levels(n: int) -> list[int]:
 
 
 @functools.lru_cache(maxsize=None)
-def _block_parities(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Orbit reps, parity table and subset index of a block of 2^level variables.
+def _block_parities(level: int) -> tuple[tuple[int, ...], tuple[int, ...], bytes]:
+    """Orbit reps, parity rows and subset index of a block of 2^level variables.
 
     reps lists the least member of each orbit of C2 wr ... wr C2, ascending;
-    table[a, c] is the parity of #{x in orbit a : x within reps[c]}; index[x]
-    is the orbit of the subset x, for all 2^(2^level) subsets.  All three
-    come from the wreath recursion of the module docstring: the orbit of a
-    pair a <= b of half orbits has rep half_reps[b] | half_reps[a] << 2^(level - 1),
-    and a subset whose halves lie in half orbits a and b lies in
-    pair[a, b] = pair[b, a].  Keyed by level only: levels 0..4 (2, 3, 6, 21
-    and 231 orbits) cover every block up to n = 31.  The arrays are shared,
-    so they are read-only.
+    bit c of rows[a] is the parity of #{x in orbit a : x within reps[c]};
+    byte x of index is the orbit of the subset x.  All three come from the
+    wreath recursion of the module docstring: the orbit of a pair a <= b of
+    half orbits has rep half_reps[b] | half_reps[a] << 2^(level - 1).  Levels
+    0..4 (2, 3, 6, 21 and 231 orbits) cover every block up to n = 31.
     """
     if level == 0:
-        reps, table = np.arange(2, dtype=np.int64), np.array([[True, True], [False, True]])
-        index = reps  # each subset of one variable is its own orbit's rep
-    else:
-        half_reps, half, half_index = _block_parities(level - 1)
-        a, b = np.triu_indices(len(half_reps))
-        reps = half_reps[b] | half_reps[a] << (1 << (level - 1))
-        order = np.argsort(reps)
-        a, b, reps = a[order], b[order], reps[order]
-        # a column's low half is half_reps[b], its high half half_reps[a]
-        same = half[np.ix_(a, b)] & half[np.ix_(b, a)]
-        swapped = half[np.ix_(b, b)] & half[np.ix_(a, a)]
-        table = same ^ (a != b)[:, None] & swapped
-        pair = np.empty((len(half_reps), len(half_reps)), dtype=np.int64)
-        pair[a, b] = pair[b, a] = np.arange(len(reps))
-        index = pair[np.ix_(half_index, half_index)].ravel()
-    reps.flags.writeable = table.flags.writeable = index.flags.writeable = False
-    return reps, table, index
+        return (0, 1), (0b11, 0b10), bytes((0, 1))
+    half_reps, half_rows, half_index = _block_parities(level - 1)
+    width = 1 << (level - 1)
+    pairs = sorted((half_reps[b] | half_reps[a] << width, a, b) for b in range(len(half_reps)) for a in range(b + 1))
+    _, high_parts, low_parts = zip(*pairs)
+    rank = [[0] * 256 for _ in half_reps]  # rank[x][y]: the orbit of a pair of half orbits x, y
+    for c, (_, a, b) in enumerate(pairs):
+        rank[a][b] = rank[b][a] = c
+    # the columns whose low or high half rep holds an odd number of half orbit x's members
+    in_low, in_high = _column_masks(low_parts, half_rows), _column_masks(high_parts, half_rows)
+    # count the members with the low half in b and the high half in a, then the other way round
+    rows = [in_low[b] & in_high[a] ^ (in_low[a] & in_high[b] if a != b else 0) for _, a, b in pairs]
+    index = b"".join(half_index.translate(bytes(rank[high_orbit])) for high_orbit in half_index)
+    return tuple(rep for rep, _, _ in pairs), tuple(rows), index
+
+
+def _column_masks(parts: tuple[int, ...], rows: tuple[int, ...]) -> list[int]:
+    """Per block orbit x, the mask of the ranks c whose block orbit parts[c] is a set bit of rows[x]."""
+    chosen = [0] * len(rows)
+    for c, y in enumerate(parts):
+        chosen[y] |= 1 << c
+    return [sum(chosen[y] for y in iter_bits(row)) for row in rows]  # the chosen[y] are disjoint
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,61 +278,65 @@ class _Orbits:
     #{x in O : x within reps[c]}.
     """
 
-    reps: np.ndarray
+    reps: tuple[int, ...]
     degree: tuple[int, ...]
     start: tuple[int, ...]
-    parts: tuple[np.ndarray, ...]
+    parts: tuple[tuple[int, ...], ...]
     rows: tuple[int, ...]
 
-    def mask_ranks(self) -> np.ndarray:
-        """Rank of the orbit of each of the 2^n monomial masks, built on each call.
-
-        A mask's block orbits, read in mixed radix with the lowest block
-        least significant, give the same code as the parts of its orbit.
-        """
-        orbit_codes, mask_codes = 0, np.zeros(1, dtype=np.int64)
-        # from the highest block down, as a mask's bits run
-        for level, part in zip(_block_levels(len(self.start) - 2)[::-1], self.parts[::-1]):
-            block_reps, _, index = _block_parities(level)
-            orbit_codes = orbit_codes * len(block_reps) + part
-            mask_codes = np.add.outer(mask_codes * len(block_reps), index).ravel()
-        return np.argsort(orbit_codes)[mask_codes]  # orbit_codes permutes the codes
+    @functools.cached_property
+    def _layout(self) -> tuple[bytes, int, int, tuple[int, ...]]:
+        """Top block index and orbit count, bits per word, and per orbit the set of its members' lower bits."""
+        n = len(self.start) - 2
+        levels, members = _block_levels(n), {}
+        for z in range(1 << (n & (1 << levels[-1]) - 1)):  # block i starts at bit n & (2^i - 1)
+            key = tuple(_block_parities(i)[2][z >> (n & (1 << i) - 1) & (1 << (1 << i)) - 1] for i in levels[:-1])
+            members[key] = members.get(key, 0) | 1 << z
+        top_reps, _, index = _block_parities(levels[-1])
+        word_bits = 1 << (n - (1 << levels[-1]))
+        return index, len(top_reps), word_bits, tuple(members[part[:-1]] for part in zip(*self.parts))
 
     def expand(self, vec: int) -> int:
-        """ANF coefficient bits (one per monomial mask) of an orbit-coordinate vector."""
-        return bit_array_to_int(int_to_bit_array(vec, len(self.reps))[self.mask_ranks()])
+        """ANF coefficient bits (one per monomial mask) of an orbit-coordinate vector.
+
+        The masks whose top-block part is the subset y give word y, the OR of
+        the lower member sets of the set orbits whose top part is y's orbit.
+        """
+        index, count, word_bits, lower = self._layout
+        top, words = self.parts[-1], [0] * count  # one word per top orbit
+        for r in iter_bits(vec):
+            words[top[r]] |= lower[r]
+        if word_bits < 8:  # word y is at bit (y % per) * word_bits of byte y // per
+            per = 8 // word_bits
+            tables = [bytes(word << k * word_bits for word in words).ljust(256, b"\0") for k in range(per)]
+            return sum(int.from_bytes(index[k::per].translate(tables[k]), "little") for k in range(per))
+        size = word_bits // 8  # word y is bytes y * size .. y * size + size - 1
+        table = b"".join(word.to_bytes(size, "little") for word in words)
+        packed = bytearray(len(index) * size)
+        for k in range(size):
+            packed[k::size] = index.translate(table[k::size].ljust(256, b"\0"))
+        return int.from_bytes(packed, "little")
 
 
 @functools.lru_cache(maxsize=2)
 def _orbits(n: int) -> _Orbits:
-    """Orbits of P, the product over the set bits 2^i of n of C2 wr ... wr C2.
+    """Orbits of P, each a tuple of block orbits (smallest block lowest), as in the module docstring.
 
-    Each factor acts on its own block of 2^i consecutive variables (smallest
-    block lowest), so an orbit is a tuple of block orbits, one per block, and
-    its least member is the union of their reps.  Its row is the AND over the
-    blocks of their parity tables.  No array runs over the 2^n masks.  Two n
-    are held, so a process that analyses several n keeps at most two n's
-    worth of tables.
+    A row is the AND over the blocks of _column_masks.  Two n are held, so a
+    process that analyses several n keeps at most two n's worth of tables.
     """
     levels = _block_levels(n)
     blocks = [_block_parities(level) for level in levels]
-    counts = [len(block_reps) for block_reps, _, _ in blocks]
-    # every tuple of block orbits, the lowest block least significant
-    parts = np.unravel_index(np.arange(math.prod(counts)), counts[::-1])[::-1]
-    reps = np.zeros(math.prod(counts), dtype=np.int64)
-    shift = 0
-    for level, (block_reps, _, _), part in zip(levels, blocks, parts):
-        reps |= block_reps[part] << shift
-        shift += 1 << level
-    degrees = np.bitwise_count(reps)
-    order = np.lexsort((reps, degrees))
-    reps, degrees, parts = reps[order], degrees[order], tuple(part[order] for part in parts)
-    within = np.ones((len(reps), len(reps)), dtype=bool)
-    for (_, table, _), part in zip(blocks, parts):
-        within &= table[np.ix_(part, part)]
-    start = np.searchsorted(degrees, np.arange(n + 2))
-    rows = tuple(bit_array_to_int(row) for row in within)
-    return _Orbits(reps, tuple(degrees.tolist()), tuple(start.tolist()), parts, rows)
+    shifts = [n & (1 << level) - 1 for level in levels]  # the widths of the smaller blocks
+    combos = list(itertools.product(*(range(len(block[0])) for block in blocks)))
+    reps = [sum(block[0][p] << shift for block, p, shift in zip(blocks, parts, shifts)) for parts in combos]
+    # graded order: by degree, then by rep; ranked[r] is the tuple of block orbits of rank r
+    degree, reps, ranked = zip(*sorted(zip(map(int.bit_count, reps), reps, combos)))
+    parts = tuple(zip(*ranked))
+    columns = [_column_masks(part, block_rows) for (_, block_rows, _), part in zip(blocks, parts)]
+    rows = tuple(functools.reduce(int.__and__, map(list.__getitem__, columns, p)) for p in ranked)
+    start = tuple(bisect.bisect_left(degree, t) for t in range(n + 2))
+    return _Orbits(reps, degree, start, parts, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -375,10 +376,7 @@ def _class_product_pieces(n: int) -> tuple[tuple[int, ...], ...]:
     start = _orbits(n).start
     layers = [(1 << start[t + 1]) - (1 << start[t]) for t in range(n + 1)]
     return tuple(
-        tuple(
-            sum(layers[t] for t in range(k, n + 1) if k >= j and (t - j) & (k - j) == k - j)
-            for k in range(n + 1)
-        )
+        tuple(sum(layers[t] for t in range(k, n + 1) if k >= j and (t - j) & (k - j) == k - j) for k in range(n + 1))
         for j in range(n + 1)
     )
 

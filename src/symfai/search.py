@@ -27,6 +27,7 @@ import math
 import os
 import pickle
 import shutil
+import stat
 import sys
 import tempfile
 import time
@@ -198,8 +199,8 @@ def _search(n: int, budget_seconds: float | None, path: str | None) -> SearchRep
 
     With a path, each range's profile lines go, as they are rendered, to a
     _Body of its own in path's directory.  The summary comes first but is
-    known last, so path gets the summary line and then the bodies' bytes
-    once the census is done.  If the census raises, or the directory does
+    known last, so once the census is done _publish writes the summary line
+    and then the bodies' bytes.  If the census raises, or the directory does
     not exist, path is neither created nor truncated.  An existing file or
     directory at path is opened for writing (not truncated) before the
     census, so an unwritable target fails at once; FIFOs are not opened.
@@ -268,16 +269,58 @@ def _search(n: int, budget_seconds: float | None, path: str | None) -> SearchRep
                 gc.unfreeze()
             report = _merge(mine, _received(n, message, status))
         if path is not None:
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(json.dumps(report.to_json_dict(), sort_keys=True) + "\n")
-                handle.flush()
-                for body in bodies:
-                    body.file.seek(0)
-                    shutil.copyfileobj(body.file.buffer, handle.buffer)
+            _publish(path, json.dumps(report.to_json_dict(), sort_keys=True) + "\n", bodies)
     finally:
         for body in bodies:
             body.file.close()
     return report
+
+
+def _publish(path: str, summary: str, bodies: list[_Body]) -> None:
+    """Write summary and then the bodies' bytes to path, replacing a regular file only once all is written.
+
+    A missing or regular target (a symlink is followed) gets a new file in
+    its directory, created with mode 0o666 less the umask or with the old
+    file's permission bits, and renamed over it when complete: if a write
+    fails, the new file is removed and the old one is left as it was.  Any
+    other target (a FIFO, a character device) is written in place.
+    """
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "wb") as handle:
+            _copy(summary, bodies, handle)
+        return
+    target = os.path.realpath(path)
+    directory, name = os.path.split(target)
+    while True:
+        staged = os.path.join(directory, f".{name}.{os.urandom(6).hex()}")
+        try:
+            fd = os.open(staged, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
+        except OSError as exc:  # name the target, not the new file
+            raise type(exc)(exc.errno, exc.strerror, path) from None
+    try:
+        with open(fd, "wb") as handle:
+            if mode is not None:
+                os.fchmod(fd, stat.S_IMODE(mode))
+            _copy(summary, bodies, handle)
+        os.replace(staged, target)
+    except BaseException:
+        os.unlink(staged)
+        raise
+
+
+def _copy(summary: str, bodies: list[_Body], handle) -> None:
+    """Write the summary line and then each body's bytes to the binary file handle."""
+    handle.write(summary.encode("utf-8"))
+    for body in bodies:
+        body.file.seek(0)  # flushes the body's text layer
+        shutil.copyfileobj(body.file.buffer, handle)
 
 
 def _work(write_end: int, n: int, lams: range, budget_seconds: float | None, start: float, body, parent: int) -> None:

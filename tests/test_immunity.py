@@ -1,5 +1,6 @@
 """Exact AI/FAI of symmetric functions, cross-checked against the dense oracle."""
 
+import bisect
 import dataclasses
 import json
 import math
@@ -237,6 +238,17 @@ def _apply_swap(masks, lo, width):
     return masks & ~(field | field << width) | (masks & field) << width | (masks >> width) & field
 
 
+def _expansion_ranks(n):
+    """The orbit rank of every mask, read off the member sets expand(1 << r); -1 where none holds it."""
+    orbits = _orbits(n)
+    rank = np.full(1 << n, -1)
+    for r in range(len(orbits.reps)):
+        members = np.flatnonzero(gf2.int_to_bit_array(orbits.expand(1 << r), 1 << n))
+        assert (rank[members] == -1).all(), (n, r)  # no mask lies in two orbits
+        rank[members] = r
+    return rank
+
+
 def test_orbit_tables_are_the_sylow_orbits():
     a = [2]
     while len(a) < 4:
@@ -246,26 +258,28 @@ def test_orbit_tables_are_the_sylow_orbits():
         expected = math.prod(a[level] for level in range(n.bit_length()) if n >> level & 1)
         assert len(orbits.reps) == expected, n
         masks = np.arange(1 << n)
-        rank = orbits.mask_ranks()
+        rank = _expansion_ranks(n)
         # a partition of all 2^n masks, each orbit led by its least member in graded order
-        assert sorted(set(rank.tolist())) == list(range(expected)), n
-        assert (rank[orbits.reps] == np.arange(expected)).all(), n
-        for r, rep in enumerate(orbits.reps.tolist()):
+        assert (rank >= 0).all(), n
+        assert (rank[list(orbits.reps)] == np.arange(expected)).all(), n
+        for r, rep in enumerate(orbits.reps):
             assert np.flatnonzero(rank == r)[0] == rep, (n, r)
-        degrees = [rep.bit_count() for rep in orbits.reps.tolist()]
+        degrees = [rep.bit_count() for rep in orbits.reps]
         assert degrees == sorted(degrees) and tuple(degrees) == orbits.degree, n
+        assert orbits.start == tuple(bisect.bisect_left(degrees, t) for t in range(n + 2)), n
         for lo, width in _sylow_swaps(n):
             assert (rank[_apply_swap(masks, lo, width)] == rank).all(), (n, lo, width)
     assert len(_orbits(14).reps) == 378
 
 
 def test_orbit_tables_match_the_canon_reference():
-    # the orbits composed from block orbits against the pass over all 2^n masks
-    for n in [*range(1, 15), 17]:
+    # the orbits composed from block orbits against the pass over all 2^n masks; above 14,
+    # n = 16, 17 and 18 expand with 1, 2 and 4 mask bits per subset of the top block
+    for n in [*range(1, 15), 16, 17, 18]:
         orbits = _orbits(n)
         reps, rank = orbit_rank_reference(n)
-        assert orbits.reps.tolist() == reps.tolist(), n
-        assert (orbits.mask_ranks() == rank).all(), n
+        assert list(orbits.reps) == reps.tolist(), n
+        assert (_expansion_ranks(n) == rank).all(), n
 
 
 def test_orbit_rows_match_the_points_reference():
@@ -278,13 +292,14 @@ def test_orbit_rows_match_the_points_reference():
 def test_block_parities_match_direct_counting():
     rng = random.Random(231)
     for level, count in enumerate((2, 3, 6, 21, 231)):
-        reps, table, index = _block_parities(level)
+        reps, rows, index = _block_parities(level)
         canon = _block_canon(level)
         subsets = np.arange(len(canon))
-        assert reps.tolist() == np.flatnonzero(canon == subsets).tolist(), level
-        # the orbit of every subset, 65,536 of them at level 4
-        assert (reps[index] == canon).all(), level
-        assert table.shape == (count, count), level
+        assert list(reps) == np.flatnonzero(canon == subsets).tolist(), level
+        # the orbit of every subset, 65,536 of them at level 4: the block's member sets
+        assert len(index) == len(canon), level
+        assert (np.array(reps)[np.frombuffer(index, dtype=np.uint8)] == canon).all(), level
+        assert len(rows) == count and all(0 <= row < 1 << count for row in rows), level
         # every entry up to level 3, over all 2^(2^level) subsets; a seeded sample at level 4
         if level <= 3:
             entries = [(a, c) for a in range(count) for c in range(count)]
@@ -292,7 +307,7 @@ def test_block_parities_match_direct_counting():
             entries = [(rng.randrange(count), rng.randrange(count)) for _ in range(60)]
         for a, c in entries:
             members = subsets[canon == reps[a]]
-            assert table[a, c] == np.count_nonzero(members & reps[c] == members) % 2, (level, a, c)
+            assert rows[a] >> c & 1 == np.count_nonzero(members & reps[c] == members) % 2, (level, a, c)
 
 
 def _rows_peak_mb(n):
@@ -307,9 +322,24 @@ def _rows_peak_mb(n):
 
 
 def test_orbit_rows_build_in_bounded_memory():
-    # the points x orbits rows peaked at 11.2 MB at n = 14, the 2^n rank pass at 4.5 MB at n = 17
+    # the points x orbits rows peaked at 11.2 MB at n = 14, the 2^n rank pass at 4.5 MB at n = 17,
+    # and the numpy composition with its orbits x orbits bool array at 33.7 MB at n = 22
     assert _rows_peak_mb(14) <= 2
     assert _rows_peak_mb(17) <= 4
+    assert _rows_peak_mb(22) <= 8
+
+
+def test_witness_expansion_runs_in_bounded_memory():
+    # expanding through a 2^n int64 array of mask ranks peaked at 64 MB at n = 22
+    orbits = _orbits.__wrapped__(22)
+    tracemalloc.start()
+    try:
+        bits = orbits.expand((1 << len(orbits.reps)) - 1)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert bits == (1 << (1 << 22)) - 1  # every orbit set: every monomial
+    assert peak <= 12
 
 
 def test_fai_matches_dense_oracle_at_11_and_12():

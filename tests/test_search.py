@@ -8,6 +8,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 import weakref
 from pathlib import Path
@@ -310,6 +311,68 @@ def test_out_of_a_failing_census_keeps_the_target(tmp_path, monkeypatch, capsys)
     out, err = capsys.readouterr()
     assert calls == 100 and out == "" and "injected at the 100th profile" in err
     assert list(tmp_path.iterdir()) == [target] and target.read_bytes() == before
+
+
+@pytest.mark.parametrize("n", [8, 10], ids=["one-process", "fanned-out"])
+def test_a_failed_write_over_an_existing_target_keeps_it(n, tmp_path, monkeypatch, capsys):
+    # the disk fills up while the bodies are copied: exit 2, the old bytes
+    # intact and no other file left
+    target = tmp_path / "census.jsonl"
+    target.write_text("kept\n")
+    copied = []
+
+    def no_space(source, destination):
+        destination.write(source.read(1000))
+        copied.append(destination)
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(search.shutil, "copyfileobj", no_space)
+    assert main(["search", "--n", str(n), "--out", str(target)]) == 2
+    out, err = capsys.readouterr()
+    assert copied and out == "" and "No space left on device" in err
+    assert list(tmp_path.iterdir()) == [target] and target.read_text() == "kept\n"
+
+
+def test_out_replaces_a_file_with_its_permission_bits(tmp_path):
+    expected = tmp_path / "expected.jsonl"
+    assert main(["search", "--n", "6", "--out", str(expected)]) == 4
+    existing = tmp_path / "existing.jsonl"
+    existing.write_text("kept\n")
+    existing.chmod(0o604)
+    real = tmp_path / "real.jsonl"
+    real.write_text("kept\n")
+    link = tmp_path / "link.jsonl"
+    link.symlink_to(real.name)
+    old_umask = os.umask(0o027)
+    try:
+        for target in (existing, tmp_path / "new.jsonl", link):
+            assert main(["search", "--n", "6", "--out", str(target)]) == 4
+    finally:
+        os.umask(old_umask)
+    assert (existing.stat().st_mode & 0o777, (tmp_path / "new.jsonl").stat().st_mode & 0o777) == (0o604, 0o640)
+    # a symlink is followed: the link stays and the file it names is replaced
+    assert link.is_symlink() and os.readlink(link) == real.name
+    for target in (existing, tmp_path / "new.jsonl", real):
+        assert target.read_bytes() == expected.read_bytes(), target.name
+    names = ["existing.jsonl", "expected.jsonl", "link.jsonl", "new.jsonl", "real.jsonl"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == names  # no new file left behind
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a FIFO")
+def test_out_to_a_fifo_writes_in_place(tmp_path):
+    expected = tmp_path / "expected.jsonl"
+    assert main(["search", "--n", "5", "--out", str(expected)]) == 0
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        assert main(["search", "--n", "5", "--out", str(fifo)]) == 0
+    finally:
+        reader.join(30)
+    assert not reader.is_alive() and got == [expected.read_bytes()]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["expected.jsonl", "pipe"]
 
 
 def _relisted_json(masks):
