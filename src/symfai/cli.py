@@ -13,8 +13,9 @@ Each handler imports the modules it runs, so a launch compiles only those:
 attack, stat and tables load the SANFV ring and attacks, convert the ring
 alone, analyze the immunity engine as well, and search the census on top
 of it.  No command loads the dense oracle.  search uses up to two
-processes from n = 10: a forked worker folds half of SB_n, and the output
-is the same bytes as one process's.
+processes from n = 10: a forked worker folds half of SB_n, or this
+process does if the fork or the worker fails, and the output is the same
+bytes as one process's.
 
 Called with no argv (the symfai script, python -m symfai.cli), main() owns
 the process and registers gc.freeze with atexit: at exit every object moves

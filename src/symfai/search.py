@@ -11,12 +11,14 @@ profiles.
 The library calls fold in one process.  The census of the search command,
 _search, uses up to two processes from n = 10: a forked worker folds the
 upper half of the SANFV range while the caller folds the lower half, the
-worker sends back its report (or its error) pickled, and the halves are
-merged in SANFV order, so the summary, output file, stderr and exit code
-are those of the one-process fold.  The per-n tables the worker shares
-are built by profiling f = 0 before the fork.  write_profiles_jsonl, the
-reference writer of the tests, writes a report's lines directly and
-shares no staging code with the command.
+worker sends back its report pickled, and the halves are merged in SANFV
+order.  The worker only saves time: if the fork fails or the worker does
+not exit 0, the caller folds the upper half itself.  The census is
+deterministic, so the summary, output file, stderr and exit code, and any
+error, are those of the one-process fold.  The per-n tables the worker
+shares are built by profiling f = 0 before the fork.
+write_profiles_jsonl, the reference writer of the tests, writes a
+report's lines directly and shares no staging code with the command.
 """
 
 from __future__ import annotations
@@ -36,17 +38,13 @@ from dataclasses import dataclass, replace
 
 from . import immunity
 from .attacks import bound_suite
-from .errors import CapabilityError, InvariantViolation
+from .errors import CapabilityError
 from .immunity import ImmunityProfile, _ProfileRenderer
 from .sanfv import Sanfv, _check_n
 
 # Below this n a fork costs more than the half of the census it saves: on
 # two CPUs n = 7 and 8 were slower forked and n = 9 was even.
 _FAN_OUT_N = 10
-
-# The exceptions a census raises that the command reports by type; a
-# worker relays any other as a RuntimeError that carries its traceback.
-_RELAYED = (CapabilityError, InvariantViolation, ValueError, OSError)
 
 
 @dataclass(frozen=True)
@@ -198,20 +196,27 @@ def _search(n: int, budget_seconds: float | None, path: str | None) -> SearchRep
     folds the whole range.
 
     With a path, each range's profile lines go, as they are rendered, to a
-    _Body of its own in path's directory.  The summary comes first but is
-    known last, so once the census is done _publish writes the summary line
-    and then the bodies' bytes.  If the census raises, or the directory does
-    not exist, path is neither created nor truncated.  An existing file or
-    directory at path is opened for writing (not truncated) before the
-    census, so an unwritable target fails at once; FIFOs are not opened.
+    _Body of its own.  The bodies of a missing or regular target live in
+    the directory of the file it names (a symlink is followed), where
+    _publish stages the new file; those of an existing FIFO or device,
+    which _publish writes in place, in the default temporary directory.
+    So a target whose directory is missing or unwritable fails before the
+    census.  The summary comes first but is known last, so once the census
+    is done _publish writes the summary line and then the bodies' bytes.
+    If the census raises, path is neither created nor truncated.  An
+    existing file or directory at path is opened for writing (not
+    truncated) before the census, so an unwritable target fails at once;
+    FIFOs are not opened.
 
     Before the fork this process profiles f = 0, which builds the per-n
     tables, and gc.freeze keeps the worker from copying the pages they live
-    on.  The worker's result (see _work) is read to its end before the
+    on.  The worker's report (see _work) is read to its end before the
     worker is reaped, so a long message cannot block it.  If this half
-    fails, the worker is killed and reaped before the error goes on; an
-    error of the worker's half is raised after this half, as a single fold
-    would raise the lower half's error first.
+    fails, the worker is killed and reaped before the error goes on.  If
+    the fork fails or the worker does not exit 0, this process empties the
+    worker's body and folds the upper half after its own: the census is
+    deterministic, so an error of that half is raised here, in the order
+    one fold would raise it, and any other loss of the worker costs time.
     """
     parts = 2 if _FAN_OUT_N <= n <= immunity.MAX_EXACT_N and _usable_cpus() >= 2 else 1
     bodies: list[_Body] = []
@@ -219,9 +224,11 @@ def _search(n: int, budget_seconds: float | None, path: str | None) -> SearchRep
         if path is not None:
             if os.path.isfile(path) or os.path.isdir(path):
                 os.close(os.open(path, os.O_WRONLY))
+            in_place = os.path.exists(path) and not os.path.isfile(path)
+            directory = None if in_place else os.path.dirname(os.path.realpath(path))
             try:
                 for _ in range(parts):
-                    bodies.append(_Body(os.path.dirname(path) or "."))
+                    bodies.append(_Body(directory))
             except OSError as exc:  # name the target, not the temporary file
                 raise type(exc)(exc.errno, exc.strerror, path) from None
         start = _start(n, budget_seconds)
@@ -247,9 +254,7 @@ def _search(n: int, budget_seconds: float | None, path: str | None) -> SearchRep
                         warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded", DeprecationWarning)
                         pid = os.fork()
                 except OSError:
-                    os.close(read_end)
-                    os.close(write_end)
-                    raise
+                    pid = None
                 if pid == 0:
                     os.close(read_end)
                     _work(write_end, n, lams[1], budget_seconds, start, each[1], parent)
@@ -258,16 +263,24 @@ def _search(n: int, budget_seconds: float | None, path: str | None) -> SearchRep
                     with open(read_end, "rb") as pipe:
                         mine = _fold(n, lams[0], budget_seconds, start, each[0])
                         message = pipe.read()
-                    status = os.waitpid(pid, 0)[1]
+                    sent = pid is not None and os.waitpid(pid, 0)[1] == 0
                 except BaseException:
-                    import signal
+                    if pid is not None:
+                        import signal
 
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
+                        os.kill(pid, signal.SIGKILL)
+                        os.waitpid(pid, 0)
                     raise
             finally:
                 gc.unfreeze()
-            report = _merge(mine, _received(n, message, status))
+            if sent:
+                theirs = pickle.loads(message)
+            else:
+                if bodies:
+                    bodies[1].file.seek(0)
+                    bodies[1].file.truncate()
+                theirs = _fold(n, lams[1], budget_seconds, start, each[1])
+            report = _merge(mine, theirs)
         if path is not None:
             _publish(path, json.dumps(report.to_json_dict(), sort_keys=True) + "\n", bodies)
     finally:
@@ -324,48 +337,23 @@ def _copy(summary: str, bodies: list[_Body], handle) -> None:
 
 
 def _work(write_end: int, n: int, lams: range, budget_seconds: float | None, start: float, body, parent: int) -> None:
-    """Fold lams in a forked worker, send the result pickled on write_end, and leave the process.
+    """Fold lams in a forked worker, send its report pickled on write_end, and leave the process.
 
-    The result is the worker's report; or an error the command reports by
-    type, re-made as its _RELAYED base type with the same text; or, for
-    any other error, a RuntimeError that carries its traceback.  The worker
-    leaves by os._exit, so it runs no cleanup of its parent's and never
-    returns into the stack it was forked from: an error it cannot send
-    (the parent is gone) ends it with status 1.
+    The worker leaves by os._exit, so it runs no cleanup of its parent's and
+    never returns into the stack it was forked from: with status 0 once the
+    report is sent, and with status 1, having sent nothing, on any error.
+    The parent then folds lams itself and meets the error there.
     """
     code = 1
     try:
-        try:
-            result = _fold(n, lams, budget_seconds, start, body, parent)
-            if body is not None:
-                body.file.flush()
-        except Exception as exc:
-            relayed = next((cls for cls in _RELAYED if isinstance(exc, cls)), None)
-            if relayed is None:
-                import traceback
-
-                result = RuntimeError(traceback.format_exc())
-            else:
-                result = relayed(str(exc))
+        report = _fold(n, lams, budget_seconds, start, body, parent)
+        if body is not None:
+            body.file.flush()
         with open(write_end, "wb") as pipe:
-            pickle.dump(result, pipe)
+            pickle.dump(report, pipe)
         code = 0
     finally:
         os._exit(code)
-
-
-def _received(n: int, message: bytes, status: int) -> SearchReport:
-    """The worker's report, from what it sent and its wait status; raises what stopped it."""
-    code = os.waitstatus_to_exitcode(status)
-    if code != 0:
-        import signal
-
-        how = f"was killed by {signal.Signals(-code).name}" if code < 0 else f"exited with status {code}"
-        raise CapabilityError(f"the census worker of n={n} {how}")
-    sent = pickle.loads(message)
-    if isinstance(sent, Exception):
-        raise sent
-    return sent
 
 
 class _Body:

@@ -2,12 +2,14 @@
 
 import contextlib
 import dataclasses
+import errno
 import gc
 import json
 import os
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 import weakref
@@ -375,6 +377,50 @@ def test_out_to_a_fifo_writes_in_place(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["expected.jsonl", "pipe"]
 
 
+def test_out_stages_beside_the_file_it_writes(tmp_path, monkeypatch):
+    # a missing or regular target is staged in the directory of the file it
+    # names, where the new file is made; a device, written in place, in the
+    # default temporary directory, since its own directory may be unwritable
+    other = tmp_path / "other"
+    other.mkdir()
+    (other / "real.jsonl").write_text("kept\n")
+    link = tmp_path / "link.jsonl"
+    link.symlink_to(other / "real.jsonl")
+    dirs, real = [], tempfile.TemporaryFile
+
+    def spy(*args, dir=None, **kwargs):
+        dirs.append(dir)
+        return real(*args, dir=dir, **kwargs)
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", spy)
+    monkeypatch.setattr(search, "_usable_cpus", lambda: 1)
+    for target in (tmp_path / "new.jsonl", link, os.devnull):
+        assert main(["search", "--n", "4", "--out", str(target)]) == 0
+    assert dirs == [os.path.realpath(tmp_path), os.path.realpath(other), None]
+
+
+def test_out_through_a_symlink_into_a_missing_directory_fails_before_the_census(tmp_path, monkeypatch, capsys):
+    link = tmp_path / "link.jsonl"
+    link.symlink_to(tmp_path / "missing" / "census.jsonl")
+
+    def profile(f):
+        raise AssertionError("the census ran")
+
+    monkeypatch.setattr(immunity, "profile", profile)
+    assert main(["search", "--n", "12", "--out", str(link)]) == 2
+    assert capsys.readouterr() == ("", f"error: [Errno 2] No such file or directory: '{link}'\n")
+    assert list(tmp_path.iterdir()) == [link]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_out_to_proc_self_fd_writes_to_that_descriptor(tmp_path):
+    expected = tmp_path / "expected.jsonl"
+    write_profiles_jsonl(profile_all(4), str(expected))
+    proc = run_python("-m", "symfai.cli", "search", "--n", "4", "--out", "/proc/self/fd/1")
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == expected.read_bytes()
+
+
 def _relisted_json(masks):
     """Variable lists of the masks, re-listed from their ANF by the pure-Python definitions."""
     anf = 0
@@ -526,81 +572,164 @@ _TEST_PID = os.getpid()
 
 
 def _fail_at(monkeypatch, lam, act):
-    """Make immunity.profile call act() at Sanfv(10, lam); the fork inherits the patch."""
+    """Make immunity.profile call act(monkeypatch) at Sanfv(10, lam); a fork inherits the patch."""
     real = immunity.profile
 
     def failing(f):
         if f.bits == lam:
-            act()
+            act(monkeypatch)
         return real(f)
 
     monkeypatch.setattr(immunity, "profile", failing)
 
 
-def _raise_invariant():
+def _raise_invariant(monkeypatch):
     raise InvariantViolation("injected")
 
 
-def _exceed_budget():
-    # this process's clock alone jumps past any budget
-    assert os.getpid() != _TEST_PID, "the clock of the test process jumped"
-    real = time.monotonic
-    time.monotonic = lambda: real() + 1e9
-
-
-def _kill_self():
-    assert os.getpid() != _TEST_PID, "the test process was to be killed"
-    os.kill(os.getpid(), signal.SIGKILL)
-
-
-def _raise_no_space():
-    raise OSError(28, "No space left on device")
-
-
-def _raise_value_error():
+def _raise_value_error(monkeypatch):
     raise ValueError("injected")
 
 
+def _raise_no_space(monkeypatch):
+    raise OSError(28, "No space left on device")
+
+
+def _divide_by_zero(monkeypatch):
+    1 // 0
+
+
+def _exceed_budget(monkeypatch):
+    # the clock of the process that profiles lam jumps past any budget;
+    # the test process gets its own back when monkeypatch is undone
+    real = time.monotonic
+    monkeypatch.setattr(time, "monotonic", lambda: real() + 1e9)
+
+
+def _run_census(monkeypatch, capsys, cpus, lam, act, target):
+    """Run search --n 10 --out target on cpus usable CPUs with act at lam.
+
+    Returns the exit code (or the error raised), stdout, stderr, the bytes
+    of each file in target's directory, and the number of forks.
+    """
+    with monkeypatch.context() as patch:
+        patch.setattr(search, "_usable_cpus", lambda: cpus)
+        forks = _counted_forks(patch)
+        _fail_at(patch, lam, act)
+        capsys.readouterr()
+        argv = ["search", "--n", "10", "--budget-seconds", "1000", "--out", str(target)]
+        with _deadline(60):
+            try:
+                result = main(argv)
+            except ZeroDivisionError as exc:
+                result = (type(exc), exc.args)
+    out, err = capsys.readouterr()
+    files = {p.name: p.read_bytes() for p in target.parent.iterdir()}
+    return result, out, err, files, len(forks)
+
+
+_FAULTS = [
+    ("invariant", _raise_invariant, 4, "invariant violation: injected\n"),
+    ("valueerror", _raise_value_error, 2, "error: injected\n"),
+    ("oserror", _raise_no_space, 2, "error: [Errno 28] No space left on device\n"),
+    ("zerodivision", _divide_by_zero, (ZeroDivisionError, ("integer division or modulo by zero",)), ""),
+    ("budget", _exceed_budget, 3, "capability error: search budget of 1000.0s exceeded at n=10\n"),
+]
+
+
 @pytest.mark.parametrize(
-    "lam, act, code, message",
-    [
-        (1024 + 65, _raise_invariant, 4, "invariant violation: injected\n"),
-        (65, _raise_invariant, 4, "invariant violation: injected\n"),
-        (1024 + 65, _exceed_budget, 3, "capability error: search budget of 1000.0s exceeded at n=10\n"),
-        (1024 + 65, _kill_self, 3, "capability error: the census worker of n=10 was killed by SIGKILL\n"),
-        (1024 + 65, _raise_no_space, 2, "error: [Errno 28] No space left on device\n"),
-        (1024 + 65, _raise_value_error, 2, "error: injected\n"),
-    ],
-    ids=["worker-invariant", "parent-invariant", "worker-budget", "worker-killed", "worker-oserror", "worker-valueerror"],
+    "lam, act, result, message",
+    [(lam, act, result, message) for lam in (1024 + 65, 65) for _, act, result, message in _FAULTS],
+    ids=[f"{half}-{name}" for half in ("worker", "parent") for name, *_ in _FAULTS],
 )
-def test_a_failing_fanned_out_census_reports_like_one_process(lam, act, code, message, tmp_path, monkeypatch, capsys):
-    # SB_10's upper half, lam >= 1024, is the worker's
+def test_a_failing_fanned_out_census_reports_like_one_process(lam, act, result, message, tmp_path, monkeypatch, capsys):
+    # SB_10's upper half, lam >= 1024, is the worker's; a fault of that
+    # half happens again when this process folds it in the worker's place
     target = tmp_path / "census.jsonl"
     target.write_text("kept\n")
+    fanned = _run_census(monkeypatch, capsys, 2, lam, act, target)
+    alone = _run_census(monkeypatch, capsys, 1, lam, act, target)
+    assert alone == (result, "", message, {"census.jsonl": b"kept\n"}, 0)
+    assert fanned == alone[:4] + (1,)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _counterexample():
+    exc = InvariantViolation("injected")
+    exc.counterexample = "sigma_5"
+    return exc
+
+
+@pytest.mark.parametrize("make", [_counterexample, ZeroDivisionError], ids=["invariant", "zerodivision"])
+def test_an_error_of_the_upper_half_reaches_the_caller_as_itself(make, monkeypatch):
+    raised = []
+
+    def act(patch):
+        raised.append(make())
+        raise raised[-1]
+
     monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
     forks = _counted_forks(monkeypatch)
-    _fail_at(monkeypatch, lam, act)
-    capsys.readouterr()
-    argv = ["search", "--n", "10", "--budget-seconds", "1000", "--out", str(target)]
-    with _deadline(60):
-        assert main(argv) == code
-    out, err = capsys.readouterr()
-    assert (len(forks), out, err) == (1, "", message)
-    _assert_left_as_it_was(target)
-    if act not in (_exceed_budget, _kill_self):  # one process fails with the same words
-        monkeypatch.setattr(search, "_usable_cpus", lambda: 1)
-        assert main(argv) == code
-        assert capsys.readouterr() == ("", message)
+    _fail_at(monkeypatch, 1024 + 65, act)
+    with _deadline(60), pytest.raises((InvariantViolation, ZeroDivisionError)) as info:
+        search._search(10, None, None)
+    # the worker's copy is lost with it; this process raised the one that arrived
+    assert len(forks) == 1 and len(raised) == 1 and info.value is raised[0]
+    if make is _counterexample:
+        assert info.value.counterexample == "sigma_5"
 
 
-def test_a_fanned_out_census_relays_an_unexpected_error_with_its_traceback(tmp_path, monkeypatch):
+def _kill_worker(monkeypatch):
+    if os.getpid() != _TEST_PID:
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _exit_worker(monkeypatch):
+    if os.getpid() != _TEST_PID:
+        os._exit(3)
+
+
+def _fail_worker(monkeypatch):
+    if os.getpid() != _TEST_PID:
+        raise InvariantViolation("only the worker meets this")
+
+
+@pytest.fixture(scope="module")
+def census10(tmp_path_factory) -> bytes:
+    """The bytes of write_profiles_jsonl(profile_all(10))."""
+    path = tmp_path_factory.mktemp("reference") / "census.jsonl"
+    write_profiles_jsonl(profile_all(10), str(path))
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "act", [_kill_worker, _exit_worker, _fail_worker, None], ids=["killed", "exit-3", "worker-error", "fork-eagain"]
+)
+def test_a_lost_worker_costs_time_not_the_census(act, census10, tmp_path, monkeypatch, capsys):
+    # the worker fails late in its half, with most of its lines staged
     target = tmp_path / "census.jsonl"
-    target.write_text("kept\n")
+    target.write_text("old\n")
     monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
-    _fail_at(monkeypatch, 1024 + 65, lambda: 1 // 0)
-    with _deadline(60), pytest.raises(RuntimeError, match="(?s)Traceback.*ZeroDivisionError"):
-        main(["search", "--n", "10", "--out", str(target)])
-    _assert_left_as_it_was(target)
+    if act is None:
+        forks = []
+
+        def fork():
+            forks.append(None)
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", fork)
+    else:
+        forks = _counted_forks(monkeypatch)
+        _fail_at(monkeypatch, 2040, act)
+    capsys.readouterr()
+    with _deadline(60):
+        assert main(["search", "--n", "10", "--out", str(target)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert len(forks) == 1 and target.read_bytes() == census10
+    assert list(tmp_path.iterdir()) == [target]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @contextlib.contextmanager
@@ -617,13 +746,6 @@ def _deadline(seconds: int):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-
-
-def _assert_left_as_it_was(target):
-    """The target keeps its bytes, no other file is in its directory and no child process is left."""
-    assert list(target.parent.iterdir()) == [target] and target.read_text() == "kept\n"
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="finds the worker through /proc")
