@@ -4,7 +4,7 @@ Run:  python demos/exhaustive_census.py
 """
 
 import symfai as s
-from symfai.attacks import tables_csv
+from symfai.bounds import tables_csv
 from symfai.search import profile_all
 
 print("=== max FAI over all symmetric functions ===")

@@ -15,16 +15,14 @@ __version__ = "0.1.0"
 _PUBLIC = {
     "attacks": (
         "AttackCertificate",
-        "BoundReport",
         "GapStatistic",
         "affine_multiplier",
         "all_certificates",
-        "bound_suite",
         "near_power_certificate",
         "product_degree_gap_statistic",
         "residue_multipliers",
-        "tables_csv",
     ),
+    "bounds": ("BoundReport", "bound_suite", "tables_csv"),
     "dense": (
         "DenseAnf",
         "DenseBooleanFunction",

@@ -15,25 +15,24 @@ implemented, read off directly from the SANFV of f:
 
 Certificates verify themselves on construction: the product is recomputed
 with the SANFV ring arithmetic and the promised degree bound is checked.
-bound_suite checks a profile against the degree/AI/FAI inequalities, and
-the two bound tables list the power-of-two bands those bounds rest on.
+The degree/AI/FAI bound checks and the bound tables live in bounds; this
+module binds bound_suite only because the benchmark's tracer
+(perfbench/tracer.py) wraps it under this name.
 """
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import TYPE_CHECKING
 
+from .bounds import _in_window, bound_suite  # noqa: F401  (bound_suite: see the module docstring)
 from .errors import InvariantViolation
 from .sanfv import Sanfv, _check_n, add, mul, one, sigma, split
 
 if TYPE_CHECKING:
     from fractions import Fraction
-
-    from .immunity import ImmunityProfile
 
 SOURCE_AFFINE = "thm3"
 SOURCE_RESIDUE = "thm4"
@@ -157,12 +156,6 @@ def residue_multipliers(f: Sanfv) -> list[AttackCertificate]:
     return certificates
 
 
-def _in_window(n: int) -> bool:
-    """Whether 2^m <= n < 2^m + 2^(m-1) - 1 for m = floor(log2 n); empty for m < 2."""
-    m = n.bit_length() - 1
-    return m >= 2 and n < (1 << m) + (1 << (m - 1)) - 1
-
-
 def _window_params(n: int, e: int | None) -> tuple[int, int]:
     m = n.bit_length() - 1
     if not _in_window(n):
@@ -232,131 +225,6 @@ def all_certificates(f: Sanfv) -> list[AttackCertificate]:
     if _in_window(f.n):
         out.append(near_power_certificate(f))
     return out
-
-
-# ---------------------------------------------------------------------------
-# degree / immunity inequality suite
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BoundCheck:
-    name: str
-    applicable: bool
-    ok: bool
-    detail: str
-
-    def to_json_dict(self) -> dict:
-        return {"name": self.name, "applicable": self.applicable, "ok": self.ok, "detail": self.detail}
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    f: Sanfv
-    checks: tuple[BoundCheck, ...]
-
-    @property
-    def all_ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def failures(self) -> list[BoundCheck]:
-        return [c for c in self.checks if not c.ok]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "f": self.f.to_string(),
-            "all_ok": self.all_ok,
-            "checks": [c.to_json_dict() for c in self.checks],
-        }
-
-
-def bound_suite(profile: ImmunityProfile) -> BoundReport:
-    """Evaluate every applicable degree/AI/FAI inequality for a profiled function.
-
-    Every check except `fai_below_n` is a proved property of symmetric
-    functions, so its failure is a library defect.  `fai_below_n` (FAI < n
-    for n >= 5) is the classical expectation, not a theorem.  Over the
-    census range n <= 14 its only exceptions are the eight functions
-    sigma_4 + a*sigma_3 + b*sigma_1 + c at n = 6, which have FAI = 6 = n;
-    their failure is reported on purpose.
-    """
-    return BoundReport(profile.f, _bound_checks(profile.f.n, profile.deg, profile.ai, profile.fai))
-
-
-@functools.lru_cache(maxsize=256)
-def _bound_checks(n: int, d: int | None, a: int, fai: int) -> tuple[BoundCheck, ...]:
-    """The checks of bound_suite, which read only n, deg, AI and FAI; memoised on them."""
-    checks = []
-
-    def check(name, applicable, ok, detail=""):
-        checks.append(BoundCheck(name, applicable, ok if applicable else True, detail))
-
-    if d is not None and d >= 1:
-        cap = 1 << (d.bit_length() - 1)
-        strict = d & (d - 1) != 0
-        check(
-            "ai_upper_power_of_two",
-            True,
-            a < cap if strict else a <= cap,
-            f"ai={a} vs 2^floor(log2 deg)={cap}, strict={strict}",
-        )
-    else:
-        check("ai_upper_power_of_two", False, True, "degree < 1")
-
-    if a >= 1:
-        need = 1 << (a - 1).bit_length()
-        check("degree_lower_bound", True, d is not None and d >= need, f"deg={d} vs 2^ceil(log2 ai)={need}")
-    else:
-        check("degree_lower_bound", False, True, "ai = 0")
-
-    if n >= 2 and a == (n + 1) // 2:
-        need = 1 << ((n - 1).bit_length() - 1)
-        check("mai_degree_lower_bound", True, d is not None and d >= need, f"deg={d} vs {need}")
-    else:
-        check("mai_degree_lower_bound", False, True, "not MAI")
-
-    if _in_window(n):
-        m = n.bit_length() - 1
-        limit = max((1 << m) - 2, 2 * n - 3 * (1 << (m - 1)) + 2)
-        check("fai_window_upper_bound", True, fai <= limit, f"fai={fai} vs {limit}")
-    else:
-        check("fai_window_upper_bound", False, True, "n outside window")
-
-    if a >= 1 and d is not None and d >= 1:
-        check("fai_sandwich", True, a + 1 <= fai <= d + 2, f"ai+1={a + 1} <= fai={fai} <= deg+2={d + 2}")
-    else:
-        check("fai_sandwich", False, True, "degenerate")
-
-    check("fai_below_n", n >= 5, fai < n, f"fai={fai} vs n={n}")
-    check("fai_cap", True, fai <= 2 * a, f"fai={fai} vs 2*ai={2 * a}")
-    return tuple(checks)
-
-
-def _band_label(lo: int, hi: int) -> str:
-    return str(lo) if lo == hi else f"{lo}-{hi}"
-
-
-def upper_ai_table() -> list[tuple[str, int]]:
-    """Upper AI of symmetric functions per degree band: [2^k, 2^(k+1)-1] -> 2^k."""
-    return [(_band_label(1 << k, (1 << (k + 1)) - 1), 1 << k) for k in range(8)]
-
-
-def lower_degree_table() -> list[tuple[str, int]]:
-    """Lower degree of symmetric functions per AI band: (2^(k-1), 2^k] -> 2^k."""
-    rows = []
-    for k in range(8):
-        lo = (1 << (k - 1)) + 1 if k else 1
-        rows.append((_band_label(lo, 1 << k), 1 << k))
-    return rows
-
-
-def tables_csv() -> str:
-    lines = ["degree_band,upper_ai"]
-    lines += [f"{band},{value}" for band, value in upper_ai_table()]
-    lines.append("")
-    lines.append("ai_band,lower_degree")
-    lines += [f"{band},{value}" for band, value in lower_degree_table()]
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,11 @@ requests with identical seeds produce byte-identical output.  Exit codes:
 invariant violation (the message carries the counterexample).
 
 Each handler imports the modules it runs, so a launch compiles only those:
-attack, stat and tables load the SANFV ring and attacks, convert the ring
-alone, analyze the immunity engine as well, and search the census on top
-of it.  No command loads the dense oracle.  search uses up to two
+attack and stat load the SANFV ring, the certificates (attacks) and the
+bound checks (bounds), tables the ring and bounds, convert the ring alone,
+analyze the ring, bounds and the immunity engine, and search the census on
+top of those.  No command loads the dense oracle or, outside attack and
+stat, the certificate code.  search uses up to two
 processes from n = 10: a forked worker folds half of SB_n, or this
 process does if the fork or the worker fails, and the output is the same
 bytes as one process's.
@@ -32,10 +34,17 @@ import argparse
 import atexit
 import gc
 import json
+import os
 import sys
 
-from .errors import CapabilityError, InvariantViolation
-from .sanfv import parse_function, to_values
+# symfai makes no BLAS call, so numpy's OpenBLAS needs no worker threads;
+# its pool would spin about 60 ms of CPU while numpy loads.  This runs
+# before the first symfai module (and with it numpy) is imported, and a
+# user's own setting wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from .errors import CapabilityError, InvariantViolation  # noqa: E402
+from .sanfv import parse_function, to_values  # noqa: E402
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -109,11 +118,11 @@ def _analyze_text(profile, report, fmt: str) -> str:
 
 
 def _run_analyze(args) -> int:
-    from . import attacks, immunity
+    from . import bounds, immunity
 
     f = parse_function(args.n, args.f)
     profile = immunity.profile(f)
-    report = attacks.bound_suite(profile)
+    report = bounds.bound_suite(profile)
     _emit(_analyze_text(profile, report, args.format), args.out)
     return 0 if report.all_ok else 4
 
@@ -152,14 +161,14 @@ def _run_convert(args) -> int:
 
 
 def _run_tables(args) -> int:
-    from . import attacks
+    from . import bounds
 
     if args.format == "csv":
-        _emit(attacks.tables_csv(), args.out)
+        _emit(bounds.tables_csv(), args.out)
     else:
         payload = {
-            "upper_ai_by_degree": [[band, value] for band, value in attacks.upper_ai_table()],
-            "lower_degree_by_ai": [[band, value] for band, value in attacks.lower_degree_table()],
+            "upper_ai_by_degree": [[band, value] for band, value in bounds.upper_ai_table()],
+            "lower_degree_by_ai": [[band, value] for band, value in bounds.lower_degree_table()],
         }
         _emit(_dump(payload, args.format), args.out)
     return 0

@@ -225,8 +225,8 @@ def _echelon_insert(
     vec's highest bit is a pivot, that row is XOR-ed in.  Returns
     (pivot, row, comb) for an adopted vec, else (None, 0, comb) with comb
     naming columns that XOR to zero.  The oracle keeps this elimination to
-    itself: the immunity engine eliminates with gf2.BitBasis, so a fault in
-    one cannot hide in the other.
+    itself: the immunity engine eliminates in its own loop inside
+    immunity._multiplier_scan, so a fault in one cannot hide in the other.
     """
     while vec:
         pivot = vec.bit_length() - 1

@@ -34,16 +34,17 @@ masks, not even the expansion of a witness to its ANF (_Orbits.expand).
 
 One scan answers both questions.  For each side s in (f, f+1) the map
 g -> g*s is scanned orbit sum by orbit sum in graded order, both sides
-level by level, each into its own echelon that records which orbit sums
-combine into each stored vector.
+level by level in one loop, each into its own pivot table (top-bit
+elimination) that records which orbit sums combine into each column.
 
 * Each product column has a closed form: for a degree-j monomial m, a
   degree-t monomial M has coefficient 0 in m*f unless M contains m, and
   otherwise the XOR over the support classes k of f of C(t-j, k-j) mod 2,
   which by Lucas is 1 exactly when k-j is a bit-submask of t-j.  Summed
   over an orbit O, the column of the orbit sum S_O is the row of O masked
-  by those degree layers.  So no truth table is built or transformed for
-  the scan.
+  by those degree layers.  So no truth table is built for the scan.  Over
+  all k the layer t is taken 2^popcount(t-j) times, an odd count only at
+  t = j, so f+1's mask is f's XOR layer j.
 * AI: a dependent column is a P-invariant annihilator of its side, and the
   scan stops after the first level at which either side has one; that
   level is the AI.  With graded coordinates each side's first dependency
@@ -92,7 +93,7 @@ from .gf2 import BitBasis, graded_masks, iter_bits, subset_xor_transform
 from .sanfv import Sanfv, to_values
 
 if TYPE_CHECKING:
-    from .attacks import BoundReport
+    from .bounds import BoundReport
 
 MAX_EXACT_N = 14
 
@@ -275,7 +276,7 @@ class _Orbits:
     orbits.  parts[i][r] is the block-i orbit of orbit r (blocks in the
     order of _block_levels), an index into _block_parities' reps.  rows[r]
     is the row of orbit r read as a point orbit O: bit c is the parity of
-    #{x in O : x within reps[c]}.
+    #{x in O : x within reps[c]}.  levels[t] is the slice of rows of degree t.
     """
 
     reps: tuple[int, ...]
@@ -283,6 +284,7 @@ class _Orbits:
     start: tuple[int, ...]
     parts: tuple[tuple[int, ...], ...]
     rows: tuple[int, ...]
+    levels: tuple[tuple[int, ...], ...]
 
     @functools.cached_property
     def _layout(self) -> tuple[bytes, int, int, tuple[int, ...]]:
@@ -336,7 +338,8 @@ def _orbits(n: int) -> _Orbits:
     columns = [_column_masks(part, block_rows) for (_, block_rows, _), part in zip(blocks, parts)]
     rows = tuple(functools.reduce(int.__and__, map(list.__getitem__, columns, p)) for p in ranked)
     start = tuple(bisect.bisect_left(degree, t) for t in range(n + 2))
-    return _Orbits(reps, degree, start, parts, rows)
+    levels = tuple(rows[start[t] : start[t + 1]] for t in range(n + 1))
+    return _Orbits(reps, degree, start, parts, rows, levels)
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +353,9 @@ def _class_truth_table(n: int, k: int) -> tuple[int, ...]:
     Row O has bit r set iff an odd number of the points of O lie within the
     monomial reps[r].  It is at once the ANF of the orbit indicator 1_O and
     the truth table of the orbit sum S_O of the monomials in O, both read
-    in orbit coordinates: a slice of _orbits(n).rows.
+    in orbit coordinates: _orbits(n).levels[k].
     """
-    orbits = _orbits(n)
-    return orbits.rows[orbits.start[k] : orbits.start[k + 1]]
+    return _orbits(n).levels[k]
 
 
 def _class_delta_echelon(n: int, k: int) -> tuple[int, ...]:
@@ -403,37 +405,47 @@ def _product_columns(rows: tuple[int, ...], layers: tuple[int, ...], classes: tu
 def _multiplier_scan(n: int, sides: tuple[int, ...]):
     """One graded scan of the product maps g -> g*s, one elimination per side s.
 
-    sides holds each side's values on the weight classes.  The product
-    columns of the orbit sums go level by level (degree 0, 1, ...) into one
-    echelon per side, and the scan stops after the first level at which
-    some side has a dependent column.  Returns (level, kernels,
-    columns): level is that level, or None when no side has one; kernels[i]
-    is side i's first dependency there, or None; columns[i] holds the
-    (pivot, reduced, comb) of side i's columns below that level, indexed by
-    orbit rank.  Combinations are orbit-coordinate vectors of g.
-
-    A dependency at rank r is a P-invariant annihilator of its side whose
-    leading orbit is r.  It is the only one with that leading orbit (two
-    would sum to an earlier dependency), so the first dependency is the
-    annihilator of least leading orbit, whatever the build order.
+    sides holds one side's values on the weight classes, or f's and then
+    f+1's, whose mask at level j is f's XOR layer j.  The product columns of
+    the orbit sums go level by level into one echelon per side, each reduced
+    by its top bit until that bit is a new pivot, and the scan stops after
+    the first level at which some side has a dependent column.  Returns
+    (level, kernels, columns): level is that level, or None when no side has
+    one; kernels[i] is side i's first dependency there, or None; columns[i]
+    holds the (pivot, reduced, comb) of side i's columns below that level,
+    indexed by orbit rank.  Combinations are orbit-coordinate vectors of g.
+    A dependency at rank r is the only P-invariant annihilator of its side
+    with leading orbit r (two would sum to an earlier dependency), so the
+    first one does not depend on how the echelon was built.
     """
-    start = _orbits(n).start
-    pieces = _class_product_pieces(n)
-    classes = [tuple(iter_bits(values)) for values in sides]
-    bases = [BitBasis() for _ in sides]
+    orbits = _orbits(n)
+    start, pieces = orbits.start, _class_product_pieces(n)
+    classes = tuple(iter_bits(sides[0]))
+    echelons = [[None] * start[n + 1] for _ in sides]  # echelon[p]: the stored column with pivot p
     columns = tuple([] for _ in sides)
-    for level in range(n + 1):
-        rows = _class_truth_table(n, level)
+    for level, rows in enumerate(orbits.levels):
+        mask = functools.reduce(int.__xor__, map(pieces[level].__getitem__, classes), 0)
         kernels = [None] * len(sides)
-        for side in range(len(sides)):
-            insert, found = bases[side].insert, columns[side]
-            for vec in _product_columns(rows, pieces[level], classes[side]):
-                step = insert(vec)
-                if step[0] is None:
-                    kernels[side] = step[2]
+        for side, echelon in enumerate(echelons):
+            if side:
+                mask ^= (1 << start[level + 1]) - (1 << start[level])
+            found, comb = columns[side], 1 << start[level]
+            for row in rows:
+                vec, c = row & mask, comb
+                while vec:
+                    pivot = vec.bit_length() - 1
+                    entry = echelon[pivot]
+                    if entry is None:
+                        found.append((pivot, vec, c))
+                        echelon[pivot] = found[-1]
+                        break
+                    vec ^= entry[1]
+                    c ^= entry[2]
+                else:
+                    kernels[side] = c
                     break
-                found.append(step)
-        if any(kernel is not None for kernel in kernels):
+                comb <<= 1
+        if kernels != [None] * len(sides):
             return level, tuple(kernels), tuple(tuple(found[: start[level]]) for found in columns)
     return None, tuple(kernels), tuple(map(tuple, columns))
 
@@ -553,7 +565,7 @@ def fai_given_ai(n: int, scan, side: int, f_tt: int):
     best = 2 * ai_value
     best_pair = None
     # rank 0 is the constant column: its solution g = 1 is excluded
-    for rank, (pivot, vec, comb) in enumerate(columns[side][1:], start=1):
+    for rank, (pivot, vec, comb) in enumerate(itertools.islice(columns[side], 1, None), start=1):
         level = degree[rank]
         value = level + degree[pivot]
         if value < best:

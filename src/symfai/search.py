@@ -37,7 +37,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 from . import immunity
-from .attacks import bound_suite
+from .bounds import bound_suite
 from .errors import CapabilityError
 from .immunity import ImmunityProfile, _ProfileRenderer
 from .sanfv import Sanfv, _check_n
@@ -247,10 +247,11 @@ def _search(n: int, budget_seconds: float | None, path: str | None) -> SearchRep
             try:
                 try:
                     with warnings.catch_warnings():
-                        # Python 3.12 warns that a fork of a multi-threaded process (here
-                        # numpy's OpenBLAS pool) may deadlock in the child.  The worker
-                        # calls no BLAS routine, so it takes none of the pool's locks, and
-                        # it leaves by os._exit.
+                        # Python 3.12 warns that a fork of a multi-threaded process may
+                        # deadlock in the child.  The CLI starts numpy with one OpenBLAS
+                        # thread, but an in-process caller's numpy may run a worker pool;
+                        # the worker calls no BLAS routine, so it takes none of the pool's
+                        # locks, and it leaves by os._exit.
                         warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded", DeprecationWarning)
                         pid = os.fork()
                 except OSError:

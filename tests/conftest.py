@@ -127,6 +127,36 @@ def orbit_rows_reference(n: int, k: int) -> tuple[int, ...]:
     return tuple(bit_array_to_int(row) for row in np.bitwise_xor.reduceat(within, first, axis=0))
 
 
+def multiplier_scan_reference(n: int, sides: tuple[int, ...]):
+    """immunity._multiplier_scan as it was built from the engine's parts.
+
+    Per level, each side's product columns come from _product_columns over
+    _class_truth_table, with a mask made from the side's own classes, and
+    go into one gf2.BitBasis per side: the construction the one-loop scan
+    with its local pivot tables replaced.
+    """
+    from symfai import immunity
+    from symfai.gf2 import BitBasis, iter_bits
+
+    start, pieces = immunity._orbits(n).start, immunity._class_product_pieces(n)
+    classes = [tuple(iter_bits(values)) for values in sides]
+    bases = [BitBasis() for _ in sides]
+    columns = tuple([] for _ in sides)
+    for level in range(n + 1):
+        rows = immunity._class_truth_table(n, level)
+        kernels = [None] * len(sides)
+        for side in range(len(sides)):
+            for vec in immunity._product_columns(rows, pieces[level], classes[side]):
+                step = bases[side].insert(vec)
+                if step[0] is None:
+                    kernels[side] = step[2]
+                    break
+                columns[side].append(step)
+        if any(kernel is not None for kernel in kernels):
+            return level, tuple(kernels), tuple(tuple(found[: start[level]]) for found in columns)
+    return None, tuple(kernels), tuple(map(tuple, columns))
+
+
 def random_sanfv(rng: random.Random, n: int) -> s.Sanfv:
     return s.Sanfv(n, rng.getrandbits(n + 1))
 

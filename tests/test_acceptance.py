@@ -26,7 +26,7 @@ import time
 
 import symfai as s
 from conftest import fai_brute
-from symfai.attacks import lower_degree_table, upper_ai_table
+from symfai.bounds import lower_degree_table, upper_ai_table
 from symfai.search import profile_all
 
 MAX_FAI = {5: 4, 6: 6, 10: 8}

@@ -116,7 +116,7 @@ def test_import_symfai_loads_no_submodule():
     assert proc.stdout == "[]\n"
 
 
-SUBMODULES = ["attacks", "cli", "dense", "errors", "gf2", "immunity", "sanfv", "search"]
+SUBMODULES = ["attacks", "bounds", "cli", "dense", "errors", "gf2", "immunity", "sanfv", "search"]
 
 
 @pytest.mark.parametrize("name", SUBMODULES)

@@ -4,6 +4,7 @@ import atexit
 import gc
 import io
 import json
+import os
 import random
 import sys
 import tracemalloc
@@ -13,7 +14,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 import symfai as s
-from symfai.attacks import bound_suite
+from symfai.bounds import bound_suite
 from symfai.cli import _analyze_text, main
 
 from conftest import run_python
@@ -233,13 +234,13 @@ def test_analyze_renders_in_bounded_memory():
 
 def _search_out_peak_mb(tmp_path) -> float:
     """Traced peak of this process over search --n 10 --out, with warm tables and fresh witnesses."""
-    from symfai import attacks, immunity
+    from symfai import bounds, immunity
 
     argv = ["search", "--n", "10", "--out", str(tmp_path / "census.jsonl")]
     assert main(argv) == 0
     immunity._witness.cache_clear()
     immunity._mask_interns.cache_clear()
-    attacks._bound_checks.cache_clear()
+    bounds._bound_checks.cache_clear()
     tracemalloc.start()
     try:
         assert main(argv) == 0
@@ -280,18 +281,18 @@ def test_cli_import_leaves_fractions_and_decimal_unloaded():
 
 
 _RING = {"cli", "errors", "gf2", "sanfv"}
-_ENGINE = _RING | {"attacks", "immunity"}
+_ENGINE = _RING | {"bounds", "immunity"}
 
 
 @pytest.mark.parametrize(
     "argv, modules",
     [
-        (["attack", "--n", "9", "--f", "majority"], _RING | {"attacks"}),
-        (["stat", "--n", "9", "--samples", "2"], _RING | {"attacks"}),
+        (["attack", "--n", "9", "--f", "majority"], _RING | {"attacks", "bounds"}),
+        (["stat", "--n", "9", "--samples", "2"], _RING | {"attacks", "bounds"}),
         (["convert", "--n", "9", "--f", "majority"], _RING),
         (["analyze", "--n", "8", "--f", "v:111110000"], _ENGINE),
         (["search", "--n", "4"], _ENGINE | {"search"}),
-        (["tables"], _RING | {"attacks"}),
+        (["tables"], _RING | {"bounds"}),
     ],
     ids=["attack", "stat", "convert", "analyze", "search", "tables"],
 )
@@ -307,6 +308,35 @@ def test_each_command_loads_only_the_modules_it_runs(argv, modules):
     proc = run_python("-c", code, *argv, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [0, sorted(f"symfai.{m}" for m in modules)]
+
+
+_THREAD_PROBE = (
+    "import atexit, os, runpy, sys\n"
+    "atexit.register(lambda: print(len(os.listdir('/proc/self/task')), file=sys.stderr))\n"
+    "sys.argv = ['symfai', 'tables']\n"
+    "runpy.run_module('symfai.cli', run_name='__main__', alter_sys=True)\n"
+)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
+def test_a_cli_launch_runs_one_os_thread(monkeypatch):
+    # numpy's OpenBLAS pool started a worker thread in every launch, which
+    # spun about 60 ms of CPU while numpy loaded; symfai makes no BLAS call.
+    # The probe runs python -m symfai.cli tables and counts threads at exit.
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    proc = run_python("-c", _THREAD_PROBE, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "1\n"
+
+
+def test_only_the_cli_sets_the_openblas_thread_count(monkeypatch):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    code = "import os, symfai, symfai.search, symfai.dense; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    assert run_python("-c", code, text=True).stdout == "None\n"
+    # a user's own setting wins
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    code = "import os, symfai.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert run_python("-c", code, text=True).stdout == "2\n"
 
 
 def test_immunity_does_not_load_the_dense_oracle():

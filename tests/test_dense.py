@@ -44,10 +44,11 @@ def test_echelon_combination_tracking():
 
 
 def test_oracle_shares_no_elimination_with_the_engine():
-    # gf2.BitBasis is the immunity engine's elimination; the oracle must not reach it
-    assert not hasattr(dense, "BitBasis")
+    # the immunity engine eliminates inside _multiplier_scan, and gf2.BitBasis
+    # is the elimination it used before; the oracle must reach neither
+    assert not hasattr(dense, "BitBasis") and not hasattr(dense, "immunity")
     for fn in (dense._annihilator_search, dense.min_multiplier_degree):
-        assert "BitBasis" not in fn.__code__.co_names
+        assert not {"BitBasis", "immunity", "_multiplier_scan"} & set(fn.__code__.co_names)
 
 
 def test_moebius_hand_example():

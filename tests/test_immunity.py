@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import symfai as s
-from symfai import attacks, dense, gf2, immunity
+from symfai import bounds, dense, gf2, immunity
 from symfai.errors import CapabilityError, InvariantViolation
 from symfai.immunity import (
     _block_parities,
@@ -30,6 +30,7 @@ from conftest import (
     fai_brute,
     graded_reference,
     json_reference,
+    multiplier_scan_reference,
     orbit_rank_reference,
     orbit_rows_reference,
     random_sanfv,
@@ -201,6 +202,46 @@ def test_product_columns_match_truth_table_route(rng):
             for m in _orbit_members(n, r):
                 expected ^= dense_columns[graded_rank[m]]
             assert orbits.expand(column) == dense.permuted_rank_to_anf_bits(n, expected), (n, v, r)
+
+
+def _pair_sides(n: int, values: int) -> tuple[int, int]:
+    return values, values ^ ((1 << (n + 1)) - 1)
+
+
+def test_pair_scan_matches_the_bitbasis_reference():
+    # every pair {f, f+1} of SB_n up to n = 10, keyed as _pair_scan keys it
+    # (f's value at weight 0 is 0), then seeded pairs up to the cap
+    scan = immunity._multiplier_scan.__wrapped__
+    for n in range(1, 11):
+        for values in range(0, 1 << (n + 1), 2):
+            sides = _pair_sides(n, values)
+            assert scan(n, sides) == multiplier_scan_reference(n, sides), (n, values)
+    rng = random.Random(27)
+    for n in range(11, 15):
+        for _ in range(50):
+            sides = _pair_sides(n, rng.getrandbits(n + 1) & ~1)
+            assert scan(n, sides) == multiplier_scan_reference(n, sides), (n, sides)
+
+
+def test_one_sided_scans_match_the_bitbasis_reference():
+    # the scans behind all_zero_set_degrees, one per class mask
+    scan = immunity._multiplier_scan.__wrapped__
+    for n in range(1, 9):
+        full = (1 << (n + 1)) - 1
+        for mask in range(1 << (n + 1)):
+            assert scan(n, (full ^ mask,)) == multiplier_scan_reference(n, (full ^ mask,)), (n, mask)
+
+
+def test_product_pieces_sum_to_their_own_layer():
+    # the XOR over all classes k of the level-j pieces is layer j alone, so
+    # the scan takes f+1's mask as f's XOR that layer
+    for n in range(1, 15):
+        start, pieces = _orbits(n).start, _class_product_pieces(n)
+        for j in range(n + 1):
+            total = 0
+            for piece in pieces[j]:
+                total ^= piece
+            assert total == (1 << start[j + 1]) - (1 << start[j]), (n, j)
 
 
 def test_orbit_rows_match_monomial_truth_tables():
@@ -381,7 +422,7 @@ def test_profile_looks_the_pair_scan_up_once():
 
 def _clear_witness_memos():
     immunity._witness.cache_clear()
-    attacks._bound_checks.cache_clear()
+    bounds._bound_checks.cache_clear()
 
 
 def test_witness_memos_leave_profiles_unchanged():
@@ -413,7 +454,7 @@ def test_witnesses_share_one_int_per_mask():
 
 
 def test_witness_memos_are_bounded():
-    memos = (immunity._witness, attacks._bound_checks)
+    memos = (immunity._witness, bounds._bound_checks)
     for memo in memos:
         assert memo.cache_parameters()["maxsize"] is not None, memo.__name__
     # a whole census working set fits: 485 distinct witnesses at n = 14

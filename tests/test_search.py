@@ -4,6 +4,8 @@ import contextlib
 import dataclasses
 import errno
 import gc
+import hashlib
+import io
 import json
 import os
 import signal
@@ -19,12 +21,38 @@ import pytest
 
 import symfai as s
 from symfai import immunity, search
+from symfai.bounds import lower_degree_table, tables_csv, upper_ai_table
 from symfai.cli import main
 from symfai.errors import CapabilityError, InvariantViolation
-from symfai.attacks import lower_degree_table, tables_csv, upper_ai_table
 from symfai.search import profile_all, write_profiles_jsonl
 
 from conftest import graded_reference, json_reference, run_python
+
+
+# sha256 of the file of search --n k --out, k = 1..10, pinned from the
+# census before its scan was rewritten as one loop per level
+_SEARCH_OUT_SHA256 = {
+    1: "01f49f357e357fe00b0386f3b54b5bc60a1ec7fe41adc6df1c547386b0dcea54",
+    2: "bb842535e0b21ab88f8f1b47560bac96e6a96528ebc0c2c88afb33dafa22a2a9",
+    3: "88595f445190be67e15077ec6709c437c752ea00a49d460f3efdd57330bd4978",
+    4: "e5d5d7af081896c5b9e05a035afe238a16a93252a0279afa18c9e3eb04b9e8f9",
+    5: "6d600e8766602d0c26145f29b58bb500e4e0a1ef525aeed6ccad5d9c91297592",
+    6: "d95e287ac873d9015836eb0bdbbfae1cc3d133ddc1b4a8752ff1dc6230321cf7",
+    7: "73820368a3bbf7c70061b185685f629bfb092c62efa2351af2ea965a8c2a6afb",
+    8: "a76f5f66d43a23c3ebe478aa46ed188482e103e539f198b43927c8ccf681379c",
+    9: "fc8b93f564be7070c9f0997783f4d3ec79337386b1f12f9ba3bf08941170b857",
+    10: "17e0471aa0ed1d93ea6f4cd1cba0ca95ec0463d5cd90fae5ed5bd6cd5c6204b0",
+}
+
+
+@pytest.mark.parametrize("n", sorted(_SEARCH_OUT_SHA256))
+def test_search_out_bytes_are_pinned(tmp_path, n):
+    # n = 6 holds the FAI = n exception: exit 4, and the file is still written
+    path = tmp_path / "census.jsonl"
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()):
+        assert main(["search", "--n", str(n), "--out", str(path)]) == (4 if n == 6 else 0)
+    assert out.getvalue() == ""
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _SEARCH_OUT_SHA256[n]
 
 
 def test_profile_all_counts():
