@@ -44,7 +44,8 @@ elimination) that records which orbit sums combine into each column.
   over an orbit O, the column of the orbit sum S_O is the row of O masked
   by those degree layers.  So no truth table is built for the scan.  Over
   all k the layer t is taken 2^popcount(t-j) times, an odd count only at
-  t = j, so f+1's mask is f's XOR layer j.
+  t = j, so f+1's mask is f's XOR layer j.  f's mask takes one lookup
+  per nibble of its value bits in per-n tables (_level_masks).
 * AI: a dependent column is a P-invariant annihilator of its side, and the
   scan stops after the first level at which either side has one; that
   level is the AI.  With graded coordinates each side's first dependency
@@ -90,7 +91,7 @@ from typing import TYPE_CHECKING
 
 from .errors import CapabilityError, InvariantViolation
 from .gf2 import BitBasis, graded_masks, iter_bits, subset_xor_transform
-from .sanfv import Sanfv, to_values
+from .sanfv import Sanfv, _transform_bits
 
 if TYPE_CHECKING:
     from .bounds import BoundReport
@@ -383,6 +384,26 @@ def _class_product_pieces(n: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
+@functools.lru_cache(maxsize=2)
+def _level_masks(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Per level j, one 16-entry table per nibble i of the value bits: [j][i][b] XORs pieces[j][4i + k] over bits k of b.
+
+    pieces is _class_product_pieces(n); each entry is one XOR from that of
+    b without its lowest set bit.  Two n are held, as by _orbits.
+    """
+    tables = []
+    for pieces in _class_product_pieces(n):
+        pieces = (*pieces, 0, 0, 0)  # a partly filled top nibble
+        level = []
+        for low in range(0, n + 1, 4):
+            table = [0] * 16
+            for b in range(1, 16):
+                table[b] = table[b & (b - 1)] ^ pieces[low + (b & -b).bit_length() - 1]
+            level.append(tuple(table))
+        tables.append(tuple(level))
+    return tuple(tables)
+
+
 # ---------------------------------------------------------------------------
 # the scan: AI, its witness and the FAI pairs
 # ---------------------------------------------------------------------------
@@ -406,26 +427,30 @@ def _multiplier_scan(n: int, sides: tuple[int, ...]):
     """One graded scan of the product maps g -> g*s, one elimination per side s.
 
     sides holds one side's values on the weight classes, or f's and then
-    f+1's, whose mask at level j is f's XOR layer j.  The product columns of
-    the orbit sums go level by level into one echelon per side, each reduced
-    by its top bit until that bit is a new pivot, and the scan stops after
-    the first level at which some side has a dependent column.  Returns
-    (level, kernels, columns): level is that level, or None when no side has
-    one; kernels[i] is side i's first dependency there, or None; columns[i]
-    holds the (pivot, reduced, comb) of side i's columns below that level,
-    indexed by orbit rank.  Combinations are orbit-coordinate vectors of g.
-    A dependency at rank r is the only P-invariant annihilator of its side
-    with leading orbit r (two would sum to an earlier dependency), so the
-    first one does not depend on how the echelon was built.
+    f+1's.  The first side's mask at level j XORs one _level_masks(n)[j]
+    entry per nibble of its values, and f+1's is f's XOR layer j.  The
+    product columns of the orbit sums go level by level into one echelon
+    per side, each reduced by its top bit until that bit is a new pivot,
+    and the scan stops after the first level at which some side has a
+    dependent column.  Returns (level, kernels, columns): level is that
+    level, or None when no side has one; kernels[i] is side i's first
+    dependency there, or None; columns[i] holds the (pivot, reduced, comb)
+    of side i's columns below that level, indexed by orbit rank.
+    Combinations are orbit-coordinate vectors of g.  A dependency at rank r
+    is the only P-invariant annihilator of its side with leading orbit r
+    (two would sum to an earlier dependency), so the first one does not
+    depend on how the echelon was built.
     """
-    orbits = _orbits(n)
-    start, pieces = orbits.start, _class_product_pieces(n)
-    classes = tuple(iter_bits(sides[0]))
+    orbits, masks = _orbits(n), _level_masks(n)
+    start = orbits.start
+    nibbles = [sides[0] >> shift & 15 for shift in range(0, n + 1, 4)]
     echelons = [[None] * start[n + 1] for _ in sides]  # echelon[p]: the stored column with pivot p
     columns = tuple([] for _ in sides)
+    kernels = [None] * len(sides)  # set only at the level the scan stops at
     for level, rows in enumerate(orbits.levels):
-        mask = functools.reduce(int.__xor__, map(pieces[level].__getitem__, classes), 0)
-        kernels = [None] * len(sides)
+        mask = 0
+        for table, nibble in zip(masks[level], nibbles):
+            mask ^= table[nibble]
         for side, echelon in enumerate(echelons):
             if side:
                 mask ^= (1 << start[level + 1]) - (1 << start[level])
@@ -436,8 +461,8 @@ def _multiplier_scan(n: int, sides: tuple[int, ...]):
                     pivot = vec.bit_length() - 1
                     entry = echelon[pivot]
                     if entry is None:
-                        found.append((pivot, vec, c))
-                        echelon[pivot] = found[-1]
+                        echelon[pivot] = entry = (pivot, vec, c)
+                        found.append(entry)
                         break
                     vec ^= entry[1]
                     c ^= entry[2]
@@ -445,7 +470,7 @@ def _multiplier_scan(n: int, sides: tuple[int, ...]):
                     kernels[side] = c
                     break
                 comb <<= 1
-        if kernels != [None] * len(sides):
+        if any(kernels):  # a dependency's combination is nonzero
             return level, tuple(kernels), tuple(tuple(found[: start[level]]) for found in columns)
     return None, tuple(kernels), tuple(map(tuple, columns))
 
@@ -600,16 +625,17 @@ def profile(f: Sanfv) -> ImmunityProfile:
     The one solve path, behind analyze, the census and ai_symmetric: one
     lookup of the pair scan, from which the AI witness is verified and then
     the FAI pairs are read.  The witness is f's first dependency, or f+1's
-    when f has none at the AI.  f's truth table is built once and both
-    witnesses are checked against it.
+    when f has none at the AI.  f's value bits come straight from its
+    SANFV bits (no WeightValueVector), and its truth table is built once
+    from them; both witnesses are checked against it.
     """
     _check_exact_n(f.n)
-    values = to_values(f)
+    values = _transform_bits(f.bits, f.n)
     tables = _weight_class_tables(f.n)
     f_tt = 0
-    for k in iter_bits(values.bits):
+    for k in iter_bits(values):
         f_tt |= tables[k]
-    scan, side = _pair_scan(f.n, values.bits)
+    scan, side = _pair_scan(f.n, values)
     ai_value, kernels, _ = scan
     kernel = kernels[side] if kernels[side] is not None else kernels[1 - side]
     ai_witness = _verify_annihilator(f_tt, _witness(f.n, kernel), ai_value)

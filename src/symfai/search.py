@@ -1,12 +1,13 @@
 """Exhaustive enumeration of SB_n: profiles, extremal FAI, MAI census, JSONL.
 
 profile_all(n) walks every symmetric function on n variables in SANFV
-integer order, profiles it, and checks the full inequality suite; any
-violation is a library defect and lands in the report.  The walk is one
-fold over a stream of profiles: profile_all keeps them, while the MAI
-census and the JSONL writer of ``search --out`` drop each one once it is
-read, so their memory follows the distinct witnesses, not the 2^(n+1)
-profiles.
+integer order, profiles it, and checks the full inequality suite of
+bounds.bound_suite, read from its memo on (n, deg, AI, FAI) without a
+BoundReport per function; any violation is a library defect and lands in
+the report.  The walk is one fold over a stream of profiles: profile_all
+keeps them, while the MAI census and the JSONL writer of ``search --out``
+drop each one once it is read, so their memory follows the distinct
+witnesses, not the 2^(n+1) profiles.
 
 The library calls fold in one process.  The census of the search command,
 _search, uses up to two processes from n = 10: a forked worker folds the
@@ -37,7 +38,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 from . import immunity
-from .bounds import bound_suite
+from .bounds import _bound_checks
 from .errors import CapabilityError
 from .immunity import ImmunityProfile, _ProfileRenderer
 from .sanfv import Sanfv, _check_n
@@ -110,9 +111,9 @@ def _fold(n: int, lams: range, budget_seconds: float | None, start: float, each=
         p = immunity.profile(f)
         if each is not None:
             each(p)
-        report = bound_suite(p)
-        for failure in report.failures():
-            violations.append(f"{f.to_string()}: {failure.name}: {failure.detail}")
+        for check in _bound_checks(n, p.deg, p.ai, p.fai):
+            if not check.ok:
+                violations.append(f"{f.to_string()}: {check.name}: {check.detail}")
         if p.fai > max_fai:
             max_fai = p.fai
             max_fai_witnesses = [f.to_string()]

@@ -17,6 +17,7 @@ from symfai.immunity import (
     _block_parities,
     _class_product_pieces,
     _class_truth_table,
+    _level_masks,
     _mask_interns,
     _orbits,
     _product_columns,
@@ -244,6 +245,26 @@ def test_product_pieces_sum_to_their_own_layer():
             assert total == (1 << start[j + 1]) - (1 << start[j]), (n, j)
 
 
+def test_level_masks_are_the_xor_of_the_pieces():
+    # every value vector up to n = 9, then seeded ones up to the cap: the
+    # top nibble of the n + 1 value bits is full at n = 11 and partly
+    # filled at n = 10, 12, 13 and 14
+    rng = random.Random(28)
+    cases = [(n, v) for n in range(1, 10) for v in range(1 << (n + 1))]
+    cases += [(n, rng.getrandbits(n + 1)) for n in range(10, 15) for _ in range(200)]
+    for n, v in cases:
+        pieces, masks = _class_product_pieces(n), _level_masks(n)
+        for j in range(n + 1):
+            assert len(masks[j]) == (n + 4) // 4, (n, j)
+            expected = 0
+            for k in gf2.iter_bits(v):
+                expected ^= pieces[j][k]
+            looked_up = 0
+            for i, table in enumerate(masks[j]):
+                looked_up ^= table[v >> 4 * i & 15]
+            assert looked_up == expected, (n, v, j)
+
+
 def test_orbit_rows_match_monomial_truth_tables():
     # an orbit's row is the truth table of the sum of its monomials
     for n in range(1, 11):
@@ -400,7 +421,7 @@ def test_table_caches_hold_at_most_two_n():
     immunity._witness.cache_clear()
     for n in range(11, 15):
         s.profile(s.threshold(n, (n + 1) // 2))
-    for cache in (_orbits, _class_product_pieces, _mask_interns):
+    for cache in (_orbits, _class_product_pieces, _level_masks, _mask_interns):
         assert cache.cache_info().currsize == 2, cache.__name__
         hits = cache.cache_info().hits
         cache(13), cache(14)

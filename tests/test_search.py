@@ -21,7 +21,7 @@ import pytest
 
 import symfai as s
 from symfai import immunity, search
-from symfai.bounds import lower_degree_table, tables_csv, upper_ai_table
+from symfai.bounds import bound_suite, lower_degree_table, tables_csv, upper_ai_table
 from symfai.cli import main
 from symfai.errors import CapabilityError, InvariantViolation
 from symfai.search import profile_all, write_profiles_jsonl
@@ -42,6 +42,7 @@ _SEARCH_OUT_SHA256 = {
     8: "a76f5f66d43a23c3ebe478aa46ed188482e103e539f198b43927c8ccf681379c",
     9: "fc8b93f564be7070c9f0997783f4d3ec79337386b1f12f9ba3bf08941170b857",
     10: "17e0471aa0ed1d93ea6f4cd1cba0ca95ec0463d5cd90fae5ed5bd6cd5c6204b0",
+    11: "ce7570d2d65ac34c8c7b3a0c1ab50374ea992e0c913d2e5a8b295a2c2b4e4eec",
 }
 
 
@@ -81,6 +82,18 @@ def test_profile_all_n6_known_exception():
     assert sorted(report.max_fai_witnesses) == expected
     assert len(report.violations) == 8
     assert all("fai_below_n" in v for v in report.violations)
+
+
+def test_census_violation_text_is_bound_suites():
+    # the census reads the memoised checks instead of a BoundReport per
+    # function; its strings are those of bound_suite's failures, in order
+    expected = [
+        f"{p.f.to_string()}: {check.name}: {check.detail}"
+        for p in profile_all(6).profiles
+        for check in bound_suite(p).failures()
+    ]
+    assert len(expected) == 8
+    assert list(search._census(6).violations) == expected
 
 
 def test_profile_all_n11_holds_every_bound():
