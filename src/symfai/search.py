@@ -10,14 +10,15 @@ drop each one once it is read, so their memory follows the distinct
 witnesses, not the 2^(n+1) profiles.
 
 The library calls fold in one process.  The census of the search command,
-_search, uses up to two processes from n = 10: a forked worker folds the
-upper half of the SANFV range while the caller folds the lower half, the
-worker sends back its report pickled, and the halves are merged in SANFV
-order.  The worker only saves time: if the fork fails or the worker does
-not exit 0, the caller folds the upper half itself.  The census is
-deterministic, so the summary, output file, stderr and exit code, and any
-error, are those of the one-process fold.  The per-n tables the worker
-shares are built by profiling f = 0 before the fork.
+_search, has one path: it folds the lower half of the SANFV range in this
+process and then takes the upper half's report from a forked worker that
+folded it meanwhile (from n = 10, with two usable CPUs) and exited 0, or
+else folds the upper half itself; the halves are merged in SANFV order.
+The worker only saves time: no fan-out, a failed fork and a lost worker
+all take the same else.  The census is deterministic, so the summary,
+output file, stderr and exit code, and any error, are those of the
+one-process fold.  The per-n tables the worker shares are built by
+profiling f = 0 before the fork.
 write_profiles_jsonl, the reference writer of the tests, writes a
 report's lines directly and shares no staging code with the command.
 """
@@ -44,7 +45,9 @@ from .immunity import ImmunityProfile, _ProfileRenderer
 from .sanfv import Sanfv, _check_n
 
 # Below this n a fork costs more than the half of the census it saves: on
-# two CPUs n = 7 and 8 were slower forked and n = 9 was even.
+# two CPUs n = 7 and 8 were slower forked and n = 9 was even.  At n = 10
+# and 11 it is even or ahead while the second CPU is free (BENCH_29.json)
+# and behind when both processes share one (BENCH_28.json).
 _FAN_OUT_N = 10
 
 
@@ -189,121 +192,123 @@ def _search(n: int, budget_seconds: float | None, path: str | None) -> SearchRep
     """The census of the search command: its report and, when path is given, its JSONL file.
 
     The report and the file are those of _census(n, budget_seconds) and
-    write_profiles_jsonl(profile_all(n), path).  From n = 10 up to the
-    exact cap, with two usable CPUs, the SANFV range is split into two
-    even-aligned halves, so f and f+1, which share one scan, stay in one
-    half; a forked worker folds the upper half while this process folds the
-    lower, and the halves are merged in SANFV order.  Otherwise this process
-    folds the whole range.
+    write_profiles_jsonl(profile_all(n), path).  The SANFV range is folded
+    as its lower half, range(2^n), and then its upper half; both are even
+    aligned, so f and f+1, which share one scan, stay in one half.  This
+    process folds the lower half.  From n = 10 up to the exact cap, with two
+    usable CPUs, a forked worker folds the upper half meanwhile (see _work)
+    and, if it exits 0, sends its report, which is merged after this
+    process's.  Otherwise (no fan-out, a failed fork, a worker that did not
+    exit 0) this process folds the upper half itself after its own: the
+    census is deterministic, so an error of that half is raised here, in the
+    order one fold would raise it, and any other loss of the worker costs
+    time.
 
-    With a path, each range's profile lines go, as they are rendered, to a
-    _Body of its own.  The bodies of a missing or regular target live in
-    the directory of the file it names (a symlink is followed), where
-    _publish stages the new file; those of an existing FIFO or device,
-    which _publish writes in place, in the default temporary directory.
-    So a target whose directory is missing or unwritable fails before the
-    census.  The summary comes first but is known last, so once the census
-    is done _publish writes the summary line and then the bodies' bytes.
-    If the census raises, path is neither created nor truncated.  An
-    existing file or directory at path is opened for writing (not
-    truncated) before the census, so an unwritable target fails at once;
-    FIFOs are not opened.
+    With a path, the target is stat-ed once, before the census, and that
+    mode decides the rest (only FileNotFoundError makes a target missing).
+    An existing file or directory is opened for writing (not truncated), so
+    an unwritable target fails at once; FIFOs are not opened.  Each process
+    renders its profile lines, as they are made, into a _Body of its own.
+    The bodies of a missing or regular target live in the directory of the
+    file it names (a symlink is followed), where _publish stages the new
+    file; those of any other target, which _publish writes in place, in the
+    default temporary directory.  So a target whose directory is missing or
+    unwritable fails before the census.  The summary comes first but is
+    known last, so once the census is done _publish writes the summary line
+    and then this process's body and, if the worker sent its report, the
+    worker's.  A worker's body that is not published is closed at once.  If
+    the census raises, path is neither created nor truncated.
 
     Before the fork this process profiles f = 0, which builds the per-n
     tables, and gc.freeze keeps the worker from copying the pages they live
-    on.  The worker's report (see _work) is read to its end before the
-    worker is reaped, so a long message cannot block it.  If this half
-    fails, the worker is killed and reaped before the error goes on.  If
-    the fork fails or the worker does not exit 0, this process empties the
-    worker's body and folds the upper half after its own: the census is
-    deterministic, so an error of that half is raised here, in the order
-    one fold would raise it, and any other loss of the worker costs time.
+    on.  The worker's report is read to its end before the worker is
+    reaped, so a long message cannot block it.  If this process fails while
+    the worker runs, the worker is killed and reaped before the error goes
+    on.
     """
-    parts = 2 if _FAN_OUT_N <= n <= immunity.MAX_EXACT_N and _usable_cpus() >= 2 else 1
-    bodies: list[_Body] = []
+    fan_out = _FAN_OUT_N <= n <= immunity.MAX_EXACT_N and _usable_cpus() >= 2
+    mode = None  # the target's st_mode, None while it is missing
+    bodies: list[_Body] = []  # this process's, then the worker's
+    pid = pipe = None
     try:
         if path is not None:
-            if os.path.isfile(path) or os.path.isdir(path):
-                os.close(os.open(path, os.O_WRONLY))
-            in_place = os.path.exists(path) and not os.path.isfile(path)
-            directory = None if in_place else os.path.dirname(os.path.realpath(path))
             try:
-                for _ in range(parts):
+                mode = os.stat(path).st_mode
+            except FileNotFoundError:
+                pass
+            if mode is not None and (stat.S_ISREG(mode) or stat.S_ISDIR(mode)):
+                os.close(os.open(path, os.O_WRONLY))
+            directory = os.path.dirname(os.path.realpath(path)) if mode is None or stat.S_ISREG(mode) else None
+            try:
+                for _ in range(1 + fan_out):
                     bodies.append(_Body(directory))
             except OSError as exc:  # name the target, not the temporary file
                 raise type(exc)(exc.errno, exc.strerror, path) from None
         start = _start(n, budget_seconds)
-        size = (1 << (n + 1)) // parts
-        lams = [range(i * size, (i + 1) * size) for i in range(parts)]
-        each = bodies or [None] * parts
-        if parts == 1:
-            report = _fold(n, lams[0], budget_seconds, start, each[0])
-        else:
+        lower, upper = range(1 << n), range(1 << n, 1 << (n + 1))
+        own = bodies[0] if bodies else None
+        if fan_out:
             immunity.profile(Sanfv(n, 0))
             sys.stdout.flush()
             sys.stderr.flush()
             parent = os.getpid()
             read_end, write_end = os.pipe()
+            pipe = open(read_end, "rb")
             gc.freeze()
             try:
-                try:
-                    with warnings.catch_warnings():
-                        # Python 3.12 warns that a fork of a multi-threaded process may
-                        # deadlock in the child.  The CLI starts numpy with one OpenBLAS
-                        # thread, but an in-process caller's numpy may run a worker pool;
-                        # the worker calls no BLAS routine, so it takes none of the pool's
-                        # locks, and it leaves by os._exit.
-                        warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded", DeprecationWarning)
-                        pid = os.fork()
-                except OSError:
-                    pid = None
-                if pid == 0:
-                    os.close(read_end)
-                    _work(write_end, n, lams[1], budget_seconds, start, each[1], parent)
-                os.close(write_end)
-                try:
-                    with open(read_end, "rb") as pipe:
-                        mine = _fold(n, lams[0], budget_seconds, start, each[0])
-                        message = pipe.read()
-                    sent = pid is not None and os.waitpid(pid, 0)[1] == 0
-                except BaseException:
-                    if pid is not None:
-                        import signal
-
-                        os.kill(pid, signal.SIGKILL)
-                        os.waitpid(pid, 0)
-                    raise
-            finally:
-                gc.unfreeze()
-            if sent:
+                with warnings.catch_warnings():
+                    # Python 3.12 warns that a fork of a multi-threaded process may
+                    # deadlock in the child.  The CLI starts numpy with one OpenBLAS
+                    # thread, but an in-process caller's numpy may run a worker pool;
+                    # the worker calls no BLAS routine, so it takes none of the pool's
+                    # locks, and it leaves by os._exit.
+                    warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded", DeprecationWarning)
+                    pid = os.fork()
+            except OSError:
+                pass
+            if pid == 0:
+                os.close(read_end)
+                _work(write_end, n, upper, budget_seconds, start, bodies[1] if bodies else None, parent)
+            os.close(write_end)
+        mine = _fold(n, lower, budget_seconds, start, own)
+        theirs = None
+        if pid is not None:
+            message = pipe.read()
+            status, pid = os.waitpid(pid, 0)[1], None
+            if status == 0:
                 theirs = pickle.loads(message)
-            else:
-                if bodies:
-                    bodies[1].file.seek(0)
-                    bodies[1].file.truncate()
-                theirs = _fold(n, lams[1], budget_seconds, start, each[1])
-            report = _merge(mine, theirs)
+        if theirs is None:
+            if fan_out and bodies:
+                bodies.pop().file.close()
+            theirs = _fold(n, upper, budget_seconds, start, own)
+        report = _merge(mine, theirs)
         if path is not None:
-            _publish(path, json.dumps(report.to_json_dict(), sort_keys=True) + "\n", bodies)
+            _publish(path, mode, json.dumps(report.to_json_dict(), sort_keys=True) + "\n", bodies)
     finally:
+        if pid is not None:  # this process failed while the worker ran
+            import signal
+
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        if pipe is not None:
+            pipe.close()
+            gc.unfreeze()
         for body in bodies:
             body.file.close()
     return report
 
 
-def _publish(path: str, summary: str, bodies: list[_Body]) -> None:
+def _publish(path: str, mode: int | None, summary: str, bodies: list[_Body]) -> None:
     """Write summary and then the bodies' bytes to path, replacing a regular file only once all is written.
 
-    A missing or regular target (a symlink is followed) gets a new file in
-    its directory, created with mode 0o666 less the umask or with the old
-    file's permission bits, and renamed over it when complete: if a write
-    fails, the new file is removed and the old one is left as it was.  Any
-    other target (a FIFO, a character device) is written in place.
+    mode is the target's st_mode as _search found it before the census, or
+    None if it was missing; whatever appeared at path since is not looked
+    at again.  A missing or regular target (a symlink is followed) gets a
+    new file in its directory, created with mode 0o666 less the umask or
+    with the old file's permission bits, and renamed over it when complete:
+    if a write fails, the new file is removed and the old one is left as it
+    was.  Any other target (a FIFO, a character device) is written in place.
     """
-    try:
-        mode = os.stat(path).st_mode
-    except FileNotFoundError:
-        mode = None
     if mode is not None and not stat.S_ISREG(mode):
         with open(path, "wb") as handle:
             _copy(summary, bodies, handle)

@@ -438,6 +438,11 @@ def test_out_stages_beside_the_file_it_writes(tmp_path, monkeypatch):
     for target in (tmp_path / "new.jsonl", link, os.devnull):
         assert main(["search", "--n", "4", "--out", str(target)]) == 0
     assert dirs == [os.path.realpath(tmp_path), os.path.realpath(other), None]
+    # a fanned-out census stages this process's body and the worker's there
+    monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
+    with _deadline(60):
+        assert main(["search", "--n", "10", "--out", str(link)]) == 0
+    assert dirs[3:] == [os.path.realpath(other)] * 2
 
 
 def test_out_through_a_symlink_into_a_missing_directory_fails_before_the_census(tmp_path, monkeypatch, capsys):
@@ -771,6 +776,59 @@ def test_a_lost_worker_costs_time_not_the_census(act, census10, tmp_path, monkey
     assert list(tmp_path.iterdir()) == [target]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _fork_eagain(monkeypatch):
+    def fork():
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", fork)
+
+
+@pytest.mark.parametrize(
+    "cpus, lose", [(1, None), (2, _fork_eagain), (2, lambda patch: _fail_at(patch, 2040, _kill_worker))],
+    ids=["one-cpu", "fork-eagain", "killed"],
+)
+def test_this_process_folds_both_halves_into_its_own_body_when_no_report_arrives(
+    cpus, lose, census10, tmp_path, monkeypatch
+):
+    # the lower half and then the upper half, each into this process's
+    # body; the worker's body, if any, is not published
+    calls, fold = [], search._fold
+
+    def recording(n, lams, budget_seconds, start, each=None, parent=None):
+        calls.append((lams, each))
+        return fold(n, lams, budget_seconds, start, each, parent)
+
+    monkeypatch.setattr(search, "_fold", recording)
+    monkeypatch.setattr(search, "_usable_cpus", lambda: cpus)
+    if lose is not None:
+        lose(monkeypatch)
+    target = tmp_path / "census.jsonl"
+    with _deadline(60):
+        assert main(["search", "--n", "10", "--out", str(target)]) == 0
+    own = calls[0][1]
+    assert isinstance(own, search._Body)
+    assert calls == [(range(1024), own), (range(1024, 2048), own)]
+    assert target.read_bytes() == census10 and list(tmp_path.iterdir()) == [target]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a FIFO")
+def test_a_fifo_made_at_a_missing_target_during_the_census_is_replaced(census10, tmp_path, monkeypatch, capsys):
+    # the target was missing when the census began, so the new file is
+    # renamed over what appeared there; opening the FIFO would wait for a
+    # reader that never comes
+    target = tmp_path / "census.jsonl"
+    monkeypatch.setattr(search, "_usable_cpus", lambda: 1)
+    _fail_at(monkeypatch, 100, lambda patch: os.mkfifo(target))
+    capsys.readouterr()
+    with _deadline(60):
+        assert main(["search", "--n", "10", "--out", str(target)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert target.is_file() and target.read_bytes() == census10
+    assert list(tmp_path.iterdir()) == [target]
 
 
 @contextlib.contextmanager
