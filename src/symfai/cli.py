@@ -19,6 +19,15 @@ processes from n = 10: a forked worker folds half of SB_n, or this
 process does if the fork or the worker fails, and the output is the same
 bytes as one process's.
 
+--out has one path for every command: main examines the target once,
+before any work (a _Target), and the command's output is published to it
+once complete (_Target.publish) with the bytes stdout would get.  A
+missing or regular target gets a new file beside the file it names,
+renamed over it when all is written, so a failed command or write leaves
+an existing target as it was; a FIFO or a device is written in place.
+search stages its profile lines in files the target makes (_Target.stage)
+and hands them to the same publish.
+
 Called with no argv (the symfai script, python -m symfai.cli), main() owns
 the process and registers gc.freeze with atexit: at exit every object moves
 to the permanent generation, so the interpreter's final collections skip
@@ -32,10 +41,14 @@ from __future__ import annotations
 
 import argparse
 import atexit
+import errno
 import gc
 import json
 import os
+import shutil
+import stat
 import sys
+import tempfile
 
 # symfai makes no BLAS call, so numpy's OpenBLAS needs no worker threads;
 # its pool would spin about 60 ms of CPU while numpy loads.  This runs
@@ -101,12 +114,86 @@ def _dump(payload, fmt: str) -> str:
     return json.dumps(payload, sort_keys=True, separators=_COMPACT) + "\n"
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path is not None:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+class _Target:
+    """An --out path, examined once before any work; publish writes the output to it.
+
+    The path is stat-ed once (only FileNotFoundError makes it missing) and
+    that mode decides the rest.  A missing path that ends in a separator
+    fails as open(path, "w") would: EISDIR, or ENOENT when its parent is
+    missing.  An existing file or directory is opened for writing (not
+    truncated), so an unwritable target fails at once; a FIFO is not opened.
+    A missing or regular target is staged: real is the file it names (a
+    symlink is followed) and directory holds that file, where stage and
+    publish make their files.  Any other target (a FIFO, a character device)
+    is written in place: real and directory are None, so stage uses the
+    default temporary directory.  So a staged target whose directory is
+    missing or unwritable fails at its first stage or publish.
+    """
+
+    def __init__(self, path: str):
+        self.path = path
+        try:
+            self.mode = os.stat(path).st_mode
+        except FileNotFoundError:
+            self.mode = None
+            if path.endswith(os.sep):
+                code = errno.EISDIR if os.path.isdir(os.path.dirname(path.rstrip(os.sep)) or os.curdir) else errno.ENOENT
+                raise OSError(code, os.strerror(code), path) from None
+        if self.mode is not None and (stat.S_ISREG(self.mode) or stat.S_ISDIR(self.mode)):
+            os.close(os.open(path, os.O_WRONLY))
+        self.real = os.path.realpath(path) if self.mode is None or stat.S_ISREG(self.mode) else None
+        self.directory = self.real and os.path.dirname(self.real)
+
+    def stage(self):
+        """A new text file without a name in directory, for a part of the output that publish copies."""
+        try:
+            return tempfile.TemporaryFile("w+", encoding="utf-8", dir=self.directory)
+        except OSError as exc:  # name the target, not the temporary file
+            raise type(exc)(exc.errno, exc.strerror, self.path) from None
+
+    def publish(self, text: str, parts=()) -> None:
+        """Write text and then the bytes of each staged part, replacing a regular file only once all is written.
+
+        Whatever appeared at the path since the examination is not looked at
+        again.  A staged target gets a new file in directory, created with
+        mode 0o666 less the umask or with the old file's permission bits, and
+        renamed over real when complete: if a write fails, the new file is
+        removed and the old one is left as it was.
+        """
+        if self.real is None:
+            with open(self.path, "wb") as handle:
+                _copy(text, parts, handle)
+            return
+        while True:
+            staged = os.path.join(self.directory, f".{os.path.basename(self.real)}.{os.urandom(6).hex()}")
+            try:
+                fd = os.open(staged, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                break
+            except FileExistsError:
+                continue
+            except OSError as exc:  # name the target, not the new file
+                raise type(exc)(exc.errno, exc.strerror, self.path) from None
+        try:
+            with open(fd, "wb") as handle:
+                if self.mode is not None:
+                    os.fchmod(fd, stat.S_IMODE(self.mode))
+                _copy(text, parts, handle)
+            os.replace(staged, self.real)
+        except BaseException:
+            os.unlink(staged)
+            raise
+
+
+def _copy(text: str, parts, handle) -> None:
+    """Write text and then each staged part's bytes to the binary file handle."""
+    handle.write(text.encode("utf-8"))
+    for part in parts:
+        part.seek(0)  # flushes the part's text layer
+        shutil.copyfileobj(part.buffer, handle)
+
+
+def _emit(text: str, out: _Target | None) -> None:
+    (sys.stdout.write if out is None else out.publish)(text)
 
 
 def _analyze_text(profile, report, fmt: str) -> str:
@@ -202,6 +289,8 @@ def main(argv=None) -> int:
     if args.out == "":  # every command has --out; reject an empty one before any work
         parser.error("argument --out: expected a path, got ''")
     try:
+        if args.out is not None:
+            args.out = _Target(args.out)
         return _HANDLERS[args.command](args)
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -19,8 +19,11 @@ all take the same else.  The census is deterministic, so the summary,
 output file, stderr and exit code, and any error, are those of the
 one-process fold.  The per-n tables the worker shares are built by
 profiling f = 0 before the fork.
-write_profiles_jsonl, the reference writer of the tests, writes a
-report's lines directly and shares no staging code with the command.
+This module holds only the census: how --out is examined, staged and
+published is the CLI's (cli._Target), which hands _search the examined
+target; _search renders its lines into files the target stages and gives
+them back to the target's publish.  write_profiles_jsonl, the reference
+writer of the tests, writes a report's lines directly.
 """
 
 from __future__ import annotations
@@ -30,10 +33,7 @@ import json
 import math
 import os
 import pickle
-import shutil
-import stat
 import sys
-import tempfile
 import time
 import warnings
 from dataclasses import dataclass, replace
@@ -188,36 +188,31 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _search(n: int, budget_seconds: float | None, path: str | None) -> SearchReport:
-    """The census of the search command: its report and, when path is given, its JSONL file.
+def _search(n: int, budget_seconds: float | None, out) -> SearchReport:
+    """The census of the search command: its report and, when out is given, its JSONL file.
 
-    The report and the file are those of _census(n, budget_seconds) and
-    write_profiles_jsonl(profile_all(n), path).  The SANFV range is folded
-    as its lower half, range(2^n), and then its upper half; both are even
-    aligned, so f and f+1, which share one scan, stay in one half.  This
-    process folds the lower half.  From n = 10 up to the exact cap, with two
-    usable CPUs, a forked worker folds the upper half meanwhile (see _work)
-    and, if it exits 0, sends its report, which is merged after this
-    process's.  Otherwise (no fan-out, a failed fork, a worker that did not
-    exit 0) this process folds the upper half itself after its own: the
+    out is the --out target as cli._Target examined it, or None.  The report
+    and the file are those of _census(n, budget_seconds) and
+    write_profiles_jsonl(profile_all(n), out.path).  The SANFV range is
+    folded as its lower half, range(2^n), and then its upper half; both are
+    even aligned, so f and f+1, which share one scan, stay in one half.
+    This process folds the lower half.  From n = 10 up to the exact cap,
+    with two usable CPUs, a forked worker folds the upper half meanwhile
+    (see _work) and, if it exits 0, sends its report, which is merged after
+    this process's.  Otherwise (no fan-out, a failed fork, a worker that did
+    not exit 0) this process folds the upper half itself after its own: the
     census is deterministic, so an error of that half is raised here, in the
     order one fold would raise it, and any other loss of the worker costs
     time.
 
-    With a path, the target is stat-ed once, before the census, and that
-    mode decides the rest (only FileNotFoundError makes a target missing).
-    An existing file or directory is opened for writing (not truncated), so
-    an unwritable target fails at once; FIFOs are not opened.  Each process
-    renders its profile lines, as they are made, into a _Body of its own.
-    The bodies of a missing or regular target live in the directory of the
-    file it names (a symlink is followed), where _publish stages the new
-    file; those of any other target, which _publish writes in place, in the
-    default temporary directory.  So a target whose directory is missing or
-    unwritable fails before the census.  The summary comes first but is
-    known last, so once the census is done _publish writes the summary line
-    and then this process's body and, if the worker sent its report, the
-    worker's.  A worker's body that is not published is closed at once.  If
-    the census raises, path is neither created nor truncated.
+    With a target, each process renders its profile lines, as they are
+    made, into a _Body of its own, staged by out before the census, so a
+    target whose directory is missing or unwritable fails before any work.
+    The summary comes first but is known last, so once the census is done
+    out publishes the summary line and then this process's body and, if the
+    worker sent its report, the worker's.  A worker's body that is not
+    published is closed at once.  If the census raises, the target is
+    neither created nor truncated.
 
     Before the fork this process profiles f = 0, which builds the per-n
     tables, and gc.freeze keeps the worker from copying the pages they live
@@ -227,23 +222,12 @@ def _search(n: int, budget_seconds: float | None, path: str | None) -> SearchRep
     on.
     """
     fan_out = _FAN_OUT_N <= n <= immunity.MAX_EXACT_N and _usable_cpus() >= 2
-    mode = None  # the target's st_mode, None while it is missing
     bodies: list[_Body] = []  # this process's, then the worker's
     pid = pipe = None
     try:
-        if path is not None:
-            try:
-                mode = os.stat(path).st_mode
-            except FileNotFoundError:
-                pass
-            if mode is not None and (stat.S_ISREG(mode) or stat.S_ISDIR(mode)):
-                os.close(os.open(path, os.O_WRONLY))
-            directory = os.path.dirname(os.path.realpath(path)) if mode is None or stat.S_ISREG(mode) else None
-            try:
-                for _ in range(1 + fan_out):
-                    bodies.append(_Body(directory))
-            except OSError as exc:  # name the target, not the temporary file
-                raise type(exc)(exc.errno, exc.strerror, path) from None
+        if out is not None:
+            for _ in range(1 + fan_out):
+                bodies.append(_Body(out.stage()))
         start = _start(n, budget_seconds)
         lower, upper = range(1 << n), range(1 << n, 1 << (n + 1))
         own = bodies[0] if bodies else None
@@ -267,8 +251,7 @@ def _search(n: int, budget_seconds: float | None, path: str | None) -> SearchRep
             except OSError:
                 pass
             if pid == 0:
-                os.close(read_end)
-                _work(write_end, n, upper, budget_seconds, start, bodies[1] if bodies else None, parent)
+                _work(read_end, write_end, n, upper, budget_seconds, start, bodies[1] if bodies else None, parent)
             os.close(write_end)
         mine = _fold(n, lower, budget_seconds, start, own)
         theirs = None
@@ -282,10 +265,10 @@ def _search(n: int, budget_seconds: float | None, path: str | None) -> SearchRep
                 bodies.pop().file.close()
             theirs = _fold(n, upper, budget_seconds, start, own)
         report = _merge(mine, theirs)
-        if path is not None:
-            _publish(path, mode, json.dumps(report.to_json_dict(), sort_keys=True) + "\n", bodies)
+        if out is not None:
+            out.publish(json.dumps(report.to_json_dict(), sort_keys=True) + "\n", [body.file for body in bodies])
     finally:
-        if pid is not None:  # this process failed while the worker ran
+        if pid:  # this process failed while the worker ran; a worker (pid 0) signals no one
             import signal
 
             os.kill(pid, signal.SIGKILL)
@@ -298,61 +281,19 @@ def _search(n: int, budget_seconds: float | None, path: str | None) -> SearchRep
     return report
 
 
-def _publish(path: str, mode: int | None, summary: str, bodies: list[_Body]) -> None:
-    """Write summary and then the bodies' bytes to path, replacing a regular file only once all is written.
-
-    mode is the target's st_mode as _search found it before the census, or
-    None if it was missing; whatever appeared at path since is not looked
-    at again.  A missing or regular target (a symlink is followed) gets a
-    new file in its directory, created with mode 0o666 less the umask or
-    with the old file's permission bits, and renamed over it when complete:
-    if a write fails, the new file is removed and the old one is left as it
-    was.  Any other target (a FIFO, a character device) is written in place.
-    """
-    if mode is not None and not stat.S_ISREG(mode):
-        with open(path, "wb") as handle:
-            _copy(summary, bodies, handle)
-        return
-    target = os.path.realpath(path)
-    directory, name = os.path.split(target)
-    while True:
-        staged = os.path.join(directory, f".{name}.{os.urandom(6).hex()}")
-        try:
-            fd = os.open(staged, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-            break
-        except FileExistsError:
-            continue
-        except OSError as exc:  # name the target, not the new file
-            raise type(exc)(exc.errno, exc.strerror, path) from None
-    try:
-        with open(fd, "wb") as handle:
-            if mode is not None:
-                os.fchmod(fd, stat.S_IMODE(mode))
-            _copy(summary, bodies, handle)
-        os.replace(staged, target)
-    except BaseException:
-        os.unlink(staged)
-        raise
-
-
-def _copy(summary: str, bodies: list[_Body], handle) -> None:
-    """Write the summary line and then each body's bytes to the binary file handle."""
-    handle.write(summary.encode("utf-8"))
-    for body in bodies:
-        body.file.seek(0)  # flushes the body's text layer
-        shutil.copyfileobj(body.file.buffer, handle)
-
-
-def _work(write_end: int, n: int, lams: range, budget_seconds: float | None, start: float, body, parent: int) -> None:
+def _work(read_end: int, write_end: int, n: int, lams: range, budget_seconds: float | None, start: float, body, parent: int) -> None:
     """Fold lams in a forked worker, send its report pickled on write_end, and leave the process.
 
-    The worker leaves by os._exit, so it runs no cleanup of its parent's and
-    never returns into the stack it was forked from: with status 0 once the
-    report is sent, and with status 1, having sent nothing, on any error.
-    The parent then folds lams itself and meets the error there.
+    Everything the worker runs, from closing its copy of the pipe's read_end
+    on, is inside one try, and it leaves by os._exit, so it runs no cleanup
+    of its parent's and never returns into the stack it was forked from:
+    with status 0 once the report is sent, and with status 1, having sent
+    nothing, on any error.  The parent then folds lams itself and meets the
+    error there.
     """
     code = 1
     try:
+        os.close(read_end)
         report = _fold(n, lams, budget_seconds, start, body, parent)
         if body is not None:
             body.file.flush()
@@ -364,18 +305,19 @@ def _work(write_end: int, n: int, lams: range, budget_seconds: float | None, sta
 
 
 class _Body:
-    """One staging file of search --out; calling it renders a profile's line into it.
+    """One part of the file of search --out; calling it renders a profile's line into it.
 
-    The file has no name (O_TMPFILE on Linux, unlinked at creation on other
-    POSIX systems), so the operating system removes it when it is closed or
-    the process dies, however it dies.  One immunity._ProfileRenderer
-    renders all of its lines, so each distinct witness is listed, and each
-    monomial's text made, once per body.
+    file is a text file without a name that the target staged (O_TMPFILE on
+    Linux, unlinked at creation on other POSIX systems), so the operating
+    system removes it when it is closed or the process dies, however it
+    dies.  One immunity._ProfileRenderer renders all of its lines, so each
+    distinct witness is listed, and each monomial's text made, once per
+    body.
     """
 
-    def __init__(self, directory: str):
-        self.file = tempfile.TemporaryFile("w+", encoding="utf-8", dir=directory)
-        self._write = self.file.write
+    def __init__(self, file):
+        self.file = file
+        self._write = file.write
         self._render = _ProfileRenderer((", ", ": "), memo_monomials=True).render
 
     def __call__(self, p: ImmunityProfile) -> None:

@@ -1,7 +1,9 @@
 """Command line behaviour: outputs, determinism, exit codes."""
 
 import atexit
+import errno
 import gc
+import hashlib
 import io
 import json
 import os
@@ -224,6 +226,25 @@ def _render_peak_mb(f):
         tracemalloc.stop()
 
 
+# sha256 of analyze's stdout over the specs of the test below, pinned while
+# analyze still wrote --out in place
+_ANALYZE_STDOUT_SHA256 = "6a6758eec48631fffc859c1415381b4dfcc8562f026f444fb0d7ae371af9a58c"
+
+
+def test_analyze_stdout_bytes_are_pinned():
+    # every f with n <= 8 in SANFV integer order, then, for n = 1..14, each
+    # value vector with one switch from 0 to 1 followed by its complement
+    specs = [(n, s.Sanfv(n, lam).to_string()) for n in range(1, 9) for lam in range(1 << (n + 1))]
+    for n in range(1, 15):
+        for t in range(n + 2):
+            specs += [(n, "v:" + "0" * t + "1" * (n + 1 - t)), (n, "v:" + "1" * t + "0" * (n + 1 - t))]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        codes = [main(["analyze", "--n", str(n), "--f", spec]) for n, spec in specs]
+    assert (len(codes), codes.count(0), codes.count(4), err.getvalue()) == (1286, 1274, 12, "")
+    assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == _ANALYZE_STDOUT_SHA256
+
+
 def test_analyze_renders_in_bounded_memory():
     # json.dumps of the payload peaked at 1.94-2.06 MB here: the encoder
     # holds one string per token of the 2,838-monomial witness
@@ -430,12 +451,65 @@ def test_unknown_command_exits_2():
     assert info.value.code == 2
 
 
-def test_out_file_matches_stdout(tmp_path):
-    path = tmp_path / "out.json"
-    code, out, _ = run_cli(["analyze", "--n", "5", "--f", "majority"])
-    code2, out2, _ = run_cli(["analyze", "--n", "5", "--f", "majority", "--out", str(path)])
-    assert code == code2 == 0 and out2 == ""
-    assert path.read_text() == out
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--n", "5", "--f", "majority"],
+        ["analyze", "--n", "5", "--f", "majority", "--format", "pretty"],
+        ["attack", "--n", "9", "--f", "majority"],
+        ["stat", "--n", "9", "--samples", "20"],
+        ["convert", "--n", "9", "--f", s.Sanfv(9, 0b1011000101).to_string()],
+        ["convert", "--n", "9", "--f", "v:0000011111"],
+        ["tables"],
+        ["tables", "--format", "json"],
+        ["tables", "--format", "pretty"],
+    ],
+    ids=["analyze", "analyze-pretty", "attack", "stat", "convert-sanfv", "convert-values", "tables-csv", "tables-json",
+         "tables-pretty"],
+)
+def test_out_file_matches_stdout(tmp_path, argv):
+    path = tmp_path / "out"
+    code, out, _ = run_cli(argv)
+    code2, out2, err2 = run_cli([*argv, "--out", str(path)])
+    assert code == code2 == 0 and (out2, err2) == ("", "")
+    assert path.read_bytes() == out.encode("utf-8") and out
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [("missing/", "[Errno 21] Is a directory"), ("nodir/missing/", "[Errno 2] No such file or directory")],
+    ids=["missing", "missing-parent"],
+)
+@pytest.mark.parametrize(
+    "argv", [["search", "--n", "3"], ["analyze", "--n", "3", "--f", "majority"]], ids=["search", "analyze"]
+)
+def test_a_missing_out_path_with_a_trailing_separator_fails_before_any_work(argv, name, message, tmp_path, monkeypatch):
+    # it fails as open(path, "w") would, and nothing is created
+    from symfai import immunity
+
+    def profile(f):
+        raise AssertionError(f"profiled {f.to_string()} for a target that cannot be written")
+
+    monkeypatch.setattr(immunity, "profile", profile)
+    target = f"{tmp_path}/{name}"
+    assert run_cli([*argv, "--out", target]) == (2, "", f"error: {message}: '{target}'\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failed_publish_over_an_existing_target_keeps_it(tmp_path, monkeypatch):
+    # analyze stages its output beside the target, as search does: a rename
+    # that fails leaves the old bytes and removes the new file
+    target = tmp_path / "analyze.json"
+    target.write_text("kept\n")
+
+    def failing(source, destination):
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    monkeypatch.setattr(os, "replace", failing)
+    code, out, err = run_cli(["analyze", "--n", "5", "--f", "majority", "--out", str(target)])
+    assert (code, out, err) == (2, "", "error: [Errno 5] Input/output error\n")
+    assert list(tmp_path.iterdir()) == [target] and target.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("argv", [["analyze", "--n", "5", "--f", "majority"], ["search", "--n", "3"]])

@@ -8,6 +8,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -369,7 +370,7 @@ def test_a_failed_write_over_an_existing_target_keeps_it(n, tmp_path, monkeypatc
         copied.append(destination)
         raise OSError(28, "No space left on device")
 
-    monkeypatch.setattr(search.shutil, "copyfileobj", no_space)
+    monkeypatch.setattr(shutil, "copyfileobj", no_space)
     assert main(["search", "--n", str(n), "--out", str(target)]) == 2
     out, err = capsys.readouterr()
     assert copied and out == "" and "No space left on device" in err
@@ -776,6 +777,35 @@ def test_a_lost_worker_costs_time_not_the_census(act, census10, tmp_path, monkey
     assert list(tmp_path.iterdir()) == [target]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+_CLOSE_FAILS_IN_THE_WORKER = """
+import os, sys
+from symfai import search
+from symfai.cli import main
+
+parent, close = os.getpid(), os.close
+
+def failing(fd):
+    if os.getpid() != parent:
+        raise OSError(9, "injected in the worker")
+    close(fd)
+
+search._usable_cpus = lambda: 2
+os.close = failing
+sys.exit(main(["search", "--n", "10", "--out", sys.argv[1]]))
+"""
+
+
+def test_a_worker_that_fails_at_its_first_step_costs_time_not_the_census(tmp_path):
+    # the worker's first call, the close of its copy of the pipe's read end,
+    # raises: the worker exits 1 and this process folds its half.  Its own
+    # session keeps a signal to the process group inside the launch.
+    target = tmp_path / "census.jsonl"
+    proc = run_python("-c", _CLOSE_FAILS_IN_THE_WORKER, str(target), start_new_session=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == _SEARCH_OUT_SHA256[10]
+    assert list(tmp_path.iterdir()) == [target]
 
 
 def _fork_eagain(monkeypatch):
