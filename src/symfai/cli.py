@@ -118,10 +118,11 @@ class _Target:
     """An --out path, examined once before any work; publish writes the output to it.
 
     The path is stat-ed once (only FileNotFoundError makes it missing) and
-    that mode decides the rest.  A missing path that ends in a separator
-    fails as open(path, "w") would: EISDIR, or ENOENT when its parent is
-    missing.  An existing file or directory is opened for writing (not
-    truncated), so an unwritable target fails at once; a FIFO is not opened.
+    that mode decides the rest.  A missing path that ends in a separator,
+    or in a last component of . or .., fails as open(path, "w") would:
+    EISDIR, or ENOENT when its parent is missing.  An existing file or
+    directory is opened for writing (not truncated), so an unwritable target
+    fails at once; a FIFO is not opened.
     A missing or regular target is staged: real is the file it names (a
     symlink is followed) and directory holds that file, where stage and
     publish make their files.  Any other target (a FIFO, a character device)
@@ -136,7 +137,7 @@ class _Target:
             self.mode = os.stat(path).st_mode
         except FileNotFoundError:
             self.mode = None
-            if path.endswith(os.sep):
+            if path.endswith(os.sep) or os.path.basename(path) in (os.curdir, os.pardir):
                 code = errno.EISDIR if os.path.isdir(os.path.dirname(path.rstrip(os.sep)) or os.curdir) else errno.ENOENT
                 raise OSError(code, os.strerror(code), path) from None
         if self.mode is not None and (stat.S_ISREG(self.mode) or stat.S_ISDIR(self.mode)):

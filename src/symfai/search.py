@@ -44,10 +44,14 @@ from .errors import CapabilityError
 from .immunity import ImmunityProfile, _ProfileRenderer
 from .sanfv import Sanfv, _check_n
 
-# Below this n a fork costs more than the half of the census it saves: on
-# two CPUs n = 7 and 8 were slower forked and n = 9 was even.  At n = 10
-# and 11 it is even or ahead while the second CPU is free (BENCH_29.json)
-# and behind when both processes share one (BENCH_28.json).
+# Below this n a fork saves no more than it costs: on two CPUs n = 7 and 8
+# were slower forked or even, and n = 9, with the worker moved off its
+# parent's CPU, was ahead in one series of ten pairs and even in two
+# (BENCH_31.json).  At n = 10 and 11 the fork was even or ahead while the
+# second CPU was free (BENCH_29.json) and behind when both processes shared
+# one (BENCH_28.json), as they did whenever the kernel left the worker on
+# its parent's CPU; with the move, n = 10 was ahead in 9 of 10 pairs
+# (BENCH_31.json).
 _FAN_OUT_N = 10
 
 
@@ -188,6 +192,39 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _cpu(pid) -> int:
+    """The CPU that process pid runs on or last ran on: field 39 of /proc/<pid>/stat."""
+    with open(f"/proc/{pid}/stat", "rb") as stat_file:
+        return int(stat_file.read().rpartition(b")")[2].split()[36])
+
+
+def _move_off(parent: int) -> None:
+    """Move this forked worker off its parent's CPU, if it shares it, and at once restore its mask (see _search).
+
+    The worker goes to the next CPU of its mask after its parent's, in the
+    order of the CPU numbers and round to the first.  Nothing moves without
+    sched_setaffinity, with fewer than two CPUs in the mask, or when the
+    kernel has put the two processes apart; an OSError, /proc unreadable
+    among them, is ignored.  If only the restore fails, the worker stays on
+    that one CPU until it exits.
+    """
+    if not hasattr(os, "sched_setaffinity"):
+        return
+    try:
+        mask = os.sched_getaffinity(0)
+        if len(mask) < 2:
+            return
+        cpu = _cpu(parent)
+        if cpu != _cpu("self"):
+            return
+        try:
+            os.sched_setaffinity(0, {min((c for c in mask if c > cpu), default=min(mask))})
+        finally:
+            os.sched_setaffinity(0, mask)
+    except OSError:
+        pass
+
+
 def _search(n: int, budget_seconds: float | None, out) -> SearchReport:
     """The census of the search command: its report and, when out is given, its JSONL file.
 
@@ -216,7 +253,14 @@ def _search(n: int, budget_seconds: float | None, out) -> SearchReport:
 
     Before the fork this process profiles f = 0, which builds the per-n
     tables, and gc.freeze keeps the worker from copying the pages they live
-    on.  The worker's report is read to its end before the worker is
+    on.  Linux often leaves a forked child on its parent's CPU, where two
+    busy loops forked so ran no faster than one after the other
+    (BENCH_31.json).  So the worker, first thing, reads both processes'
+    CPUs from /proc and, if they are one, moves itself to another CPU of
+    its mask and at once takes its whole mask back (_move_off), which
+    leaves the scheduler free to move it when that CPU gets busy.  This
+    process never touches its affinity.
+    The worker's report is read to its end before the worker is
     reaped, so a long message cannot block it.  If this process fails while
     the worker runs, the worker is killed and reaped before the error goes
     on.
@@ -284,15 +328,16 @@ def _search(n: int, budget_seconds: float | None, out) -> SearchReport:
 def _work(read_end: int, write_end: int, n: int, lams: range, budget_seconds: float | None, start: float, body, parent: int) -> None:
     """Fold lams in a forked worker, send its report pickled on write_end, and leave the process.
 
-    Everything the worker runs, from closing its copy of the pipe's read_end
-    on, is inside one try, and it leaves by os._exit, so it runs no cleanup
-    of its parent's and never returns into the stack it was forked from:
-    with status 0 once the report is sent, and with status 1, having sent
-    nothing, on any error.  The parent then folds lams itself and meets the
-    error there.
+    Everything the worker runs, from its move off its parent's CPU
+    (_move_off) on, is inside one try, and it leaves by os._exit, so it
+    runs no cleanup of its parent's and never returns into the stack it
+    was forked from: with status 0 once the report is sent, and with status
+    1, having sent nothing, on any error.  The parent then folds lams
+    itself and meets the error there.
     """
     code = 1
     try:
+        _move_off(parent)
         os.close(read_end)
         report = _fold(n, lams, budget_seconds, start, body, parent)
         if body is not None:

@@ -478,14 +478,21 @@ def test_out_file_matches_stdout(tmp_path, argv):
 
 @pytest.mark.parametrize(
     "name, message",
-    [("missing/", "[Errno 21] Is a directory"), ("nodir/missing/", "[Errno 2] No such file or directory")],
-    ids=["missing", "missing-parent"],
+    [
+        ("missing/", "[Errno 21] Is a directory"),
+        ("nodir/missing/", "[Errno 2] No such file or directory"),
+        ("missing/.", "[Errno 2] No such file or directory"),
+        ("missing/..", "[Errno 2] No such file or directory"),
+        ("nodir/missing/.", "[Errno 2] No such file or directory"),
+    ],
+    ids=["missing", "missing-parent", "missing-dot", "missing-dotdot", "missing-parent-dot"],
 )
 @pytest.mark.parametrize(
     "argv", [["search", "--n", "3"], ["analyze", "--n", "3", "--f", "majority"]], ids=["search", "analyze"]
 )
 def test_a_missing_out_path_with_a_trailing_separator_fails_before_any_work(argv, name, message, tmp_path, monkeypatch):
-    # it fails as open(path, "w") would, and nothing is created
+    # it fails as open(path, "w") would, and nothing is created; a last
+    # component of . or .. is a directory too
     from symfai import immunity
 
     def profile(f):

@@ -604,11 +604,15 @@ def test_merged_halves_equal_the_whole_census():
 
 
 def test_library_calls_never_fork(monkeypatch):
-    def fork():
-        raise AssertionError("forked")
+    # nor touch the affinity mask
+    def fork(*args):
+        raise AssertionError("forked or touched affinity")
 
     monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "sched_getaffinity", fork, raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", fork, raising=False)
+    monkeypatch.setattr(search, "_cpu", fork)
     report = profile_all(10)
     assert s.find_symmetric_mai(10) == [s.Sanfv.from_string(10, t) for t in report.mai_list]
     # the capability check runs before any fork
@@ -806,6 +810,157 @@ def test_a_worker_that_fails_at_its_first_step_costs_time_not_the_census(tmp_pat
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
     assert hashlib.sha256(target.read_bytes()).hexdigest() == _SEARCH_OUT_SHA256[10]
     assert list(tmp_path.iterdir()) == [target]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no affinity calls on this platform")
+@pytest.mark.parametrize(
+    "act, raises",
+    [(None, None), (_raise_invariant, InvariantViolation), (_kill_worker, None)],
+    ids=["success", "census-raises", "worker-lost"],
+)
+def test_this_process_never_touches_its_affinity(act, raises, monkeypatch):
+    # only the worker may move, whatever the census does
+    before, calls = os.sched_getaffinity(0), []
+
+    def recording(pid, mask, real=os.sched_setaffinity):
+        if os.getpid() == _TEST_PID:
+            calls.append(set(mask))
+        real(pid, mask)
+
+    monkeypatch.setattr(os, "sched_setaffinity", recording)
+    monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
+    if act is not None:
+        _fail_at(monkeypatch, 65 if raises else 2040, act)
+    with _deadline(60), pytest.raises(raises) if raises else contextlib.nullcontext():
+        assert search._search(10, None, None).count == 2048
+    assert calls == [] and os.sched_getaffinity(0) == before
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize(
+    "mask, cpu, target",
+    [({0, 1}, 0, 1), ({0, 1}, 1, 0), ({0, 2, 5, 7}, 2, 5), ({0, 2, 5, 7}, 7, 0), ({1, 3}, 2, 3)],
+)
+def test_the_worker_moves_to_the_next_cpu_after_its_parents(mask, cpu, target, monkeypatch):
+    # both processes read cpu; the worker asks for target and then its mask
+    calls = []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(mask), raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, m: calls.append(set(m)), raising=False)
+    monkeypatch.setattr(search, "_cpu", lambda pid: cpu)
+    search._move_off(os.getppid())
+    assert calls == [{target}, mask]
+
+
+_MOVE_FAILS = """
+import os, sys
+from symfai import search
+from symfai.cli import main
+
+parent, real = os.getpid(), os.sched_setaffinity
+
+def failing(pid, mask):
+    where = "parent" if os.getpid() == parent else "worker"
+    with open(sys.argv[3], "a") as calls:
+        calls.write(f"{where} {sorted(mask)}\\n")
+    if sys.argv[2] == "refused" or len(mask) > 1:
+        raise OSError(22, "injected in the " + where)
+    real(pid, mask)
+
+if sys.argv[2] == "refused":
+    os.sched_getaffinity = lambda pid: {0, 1}
+search._usable_cpus = lambda: 2
+search._cpu = lambda pid: min(os.sched_getaffinity(0))
+os.sched_setaffinity = failing
+sys.exit(main(["search", "--n", "10", "--out", sys.argv[1]]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no affinity calls on this platform")
+@pytest.mark.parametrize("how", ["refused", "restore-refused"])
+def test_a_move_that_fails_costs_nothing(how, tmp_path):
+    # the worker reads itself on its parent's CPU.  Refused: both calls
+    # raise, on a mask that reads two CPUs on any host.  Restore refused:
+    # the worker really moves to the second CPU of the real mask and stays
+    # there until it exits
+    mask = sorted({0, 1} if how == "refused" else os.sched_getaffinity(0))
+    if len(mask) < 2:
+        pytest.skip("a real move needs two CPUs in the mask")
+    (tmp_path / "out").mkdir()
+    target, calls = tmp_path / "out" / "census.jsonl", tmp_path / "calls"
+    proc = run_python("-c", _MOVE_FAILS, str(target), how, str(calls), start_new_session=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == _SEARCH_OUT_SHA256[10]
+    assert list(target.parent.iterdir()) == [target]
+    assert calls.read_text().splitlines() == [f"worker [{mask[1]}]", f"worker {mask}"]
+
+
+def _one_usable_cpu(monkeypatch):
+    monkeypatch.setattr(search, "_usable_cpus", lambda: 1)
+
+
+def _one_cpu_in_the_real_mask(monkeypatch):
+    monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+
+def _no_sched_setaffinity(monkeypatch):
+    monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
+    monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+
+
+def _already_apart(monkeypatch):
+    monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(search, "_cpu", lambda pid: int(pid == "self"))
+
+
+def _no_proc(monkeypatch):
+    def missing(pid):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), f"/proc/{pid}/stat")
+
+    monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(search, "_cpu", missing)
+
+
+@pytest.mark.parametrize(
+    "setup, fans_out",
+    [
+        (_one_usable_cpu, False),
+        (_one_cpu_in_the_real_mask, True),
+        (_no_sched_setaffinity, True),
+        (_already_apart, True),
+        (_no_proc, True),
+    ],
+    ids=["one-usable-cpu", "one-cpu-mask", "no-sched-setaffinity", "already-apart", "no-proc"],
+)
+def test_no_move_unless_the_worker_shares_its_parents_cpu(setup, fans_out, tmp_path, monkeypatch, capsys):
+    # any call, in either process, is logged to a file; a worker that fans
+    # out sends its report, so this process folds the lower half only
+    log = tmp_path / "calls"
+    (tmp_path / "out").mkdir()
+    target = tmp_path / "out" / "census.jsonl"
+
+    def log_call(pid, mask):
+        with open(log, "a") as handle:
+            handle.write(f"{os.getpid()} {sorted(mask)}\n")
+
+    monkeypatch.setattr(os, "sched_setaffinity", log_call, raising=False)
+    folds, fold = [], search._fold
+
+    def recording(n, lams, *args):
+        folds.append(lams)
+        return fold(n, lams, *args)
+
+    monkeypatch.setattr(search, "_fold", recording)
+    setup(monkeypatch)
+    with _deadline(60):
+        assert main(["search", "--n", "10", "--out", str(target)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == _SEARCH_OUT_SHA256[10]
+    assert folds == [range(1024)] + ([] if fans_out else [range(1024, 2048)])
+    assert not log.exists() and list(target.parent.iterdir()) == [target]
 
 
 def _fork_eagain(monkeypatch):
