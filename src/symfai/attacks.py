@@ -105,15 +105,9 @@ def affine_multiplier(f: Sanfv) -> AttackCertificate:
     top_even = f.coefficient(2 * t)
     g = Sanfv(f.n, 0b10 | (top_even ^ 1))
     h = mul(g, f)
-    expected = None
-    for s in range(t - 1, -1, -1):
-        if top_even == 0:
-            hit = f.coefficient(2 * s) == 1
-        else:
-            hit = f.coefficient(2 * s) != f.coefficient(2 * s + 1)
-        if hit:
-            expected = 2 * s + 1
-            break
+    # bit 2s of candidates holds the law's condition for s; the mask keeps bits 0, 2, ..., 2t - 2
+    candidates = (f.bits ^ f.bits >> 1 if top_even else f.bits) & ((1 << 2 * t) - 1) // 3
+    expected = candidates.bit_length() or None
     if h.degree() != expected:
         raise InvariantViolation(
             f"affine multiplier degree law failed for f={f.to_string()}: "

@@ -28,7 +28,6 @@ writer of the tests, writes a report's lines directly.
 
 from __future__ import annotations
 
-import gc
 import json
 import math
 import os
@@ -199,26 +198,26 @@ def _cpu(pid) -> int:
 
 
 def _move_off(parent: int) -> None:
-    """Move this forked worker off its parent's CPU, if it shares it, and at once restore its mask (see _search).
+    """Keep this forked worker off its parent's CPU for a moment, then restore its mask (see _search).
 
-    The worker goes to the next CPU of its mask after its parent's, in the
-    order of the CPU numbers and round to the first.  Nothing moves without
+    The worker reads its parent's CPU once and, when that CPU is in its mask
+    of two or more CPUs, asks for the mask without that CPU and at once
+    takes the whole mask back.  A worker that the kernel already ran on
+    another CPU of the mask does not migrate, and on a larger mask the
+    kernel chooses among the other CPUs.  Nothing moves without
     sched_setaffinity, with fewer than two CPUs in the mask, or when the
-    kernel has put the two processes apart; an OSError, /proc unreadable
-    among them, is ignored.  If only the restore fails, the worker stays on
-    that one CPU until it exits.
+    parent's CPU is outside it; an OSError, /proc unreadable among them, is
+    ignored.  If only the restore fails, the worker stays off its parent's
+    CPU until it exits.
     """
     if not hasattr(os, "sched_setaffinity"):
         return
     try:
         mask = os.sched_getaffinity(0)
-        if len(mask) < 2:
-            return
-        cpu = _cpu(parent)
-        if cpu != _cpu("self"):
+        if len(mask) < 2 or (cpu := _cpu(parent)) not in mask:
             return
         try:
-            os.sched_setaffinity(0, {min((c for c in mask if c > cpu), default=min(mask))})
+            os.sched_setaffinity(0, mask - {cpu})
         finally:
             os.sched_setaffinity(0, mask)
     except OSError:
@@ -233,14 +232,13 @@ def _search(n: int, budget_seconds: float | None, out) -> SearchReport:
     write_profiles_jsonl(profile_all(n), out.path).  The SANFV range is
     folded as its lower half, range(2^n), and then its upper half; both are
     even aligned, so f and f+1, which share one scan, stay in one half.
-    This process folds the lower half.  From n = 10 up to the exact cap,
-    with two usable CPUs, a forked worker folds the upper half meanwhile
-    (see _work) and, if it exits 0, sends its report, which is merged after
-    this process's.  Otherwise (no fan-out, a failed fork, a worker that did
-    not exit 0) this process folds the upper half itself after its own: the
-    census is deterministic, so an error of that half is raised here, in the
-    order one fold would raise it, and any other loss of the worker costs
-    time.
+    This process folds the lower half.  From n = 10, with two usable CPUs,
+    a forked worker folds the upper half meanwhile (see _work) and, if it
+    exits 0, sends its report, which is merged after this process's.
+    Otherwise (no fan-out, a failed fork, a worker that did not exit 0)
+    this process folds the upper half itself after its own: the census is
+    deterministic, so an error of that half is raised here, in the order
+    one fold would raise it, and any other loss of the worker costs time.
 
     With a target, each process renders its profile lines, as they are
     made, into a _Body of its own, staged by out before the census, so a
@@ -252,20 +250,19 @@ def _search(n: int, budget_seconds: float | None, out) -> SearchReport:
     neither created nor truncated.
 
     Before the fork this process profiles f = 0, which builds the per-n
-    tables, and gc.freeze keeps the worker from copying the pages they live
-    on.  Linux often leaves a forked child on its parent's CPU, where two
-    busy loops forked so ran no faster than one after the other
-    (BENCH_31.json).  So the worker, first thing, reads both processes'
-    CPUs from /proc and, if they are one, moves itself to another CPU of
-    its mask and at once takes its whole mask back (_move_off), which
-    leaves the scheduler free to move it when that CPU gets busy.  This
-    process never touches its affinity.
+    tables, or raises CapabilityError above the exact cap, before any fork.
+    Linux often leaves a forked child on its parent's CPU, where two busy
+    loops forked so ran no faster than one after the other (BENCH_31.json).
+    So the worker, first thing, reads its parent's CPU from /proc, asks for
+    its mask without that CPU and at once takes its whole mask back
+    (_move_off), which leaves the scheduler free to move it when that CPU
+    gets busy.  This process never touches its affinity, nor gc.
     The worker's report is read to its end before the worker is
     reaped, so a long message cannot block it.  If this process fails while
     the worker runs, the worker is killed and reaped before the error goes
     on.
     """
-    fan_out = _FAN_OUT_N <= n <= immunity.MAX_EXACT_N and _usable_cpus() >= 2
+    fan_out = n >= _FAN_OUT_N and _usable_cpus() >= 2
     bodies: list[_Body] = []  # this process's, then the worker's
     pid = pipe = None
     try:
@@ -282,7 +279,6 @@ def _search(n: int, budget_seconds: float | None, out) -> SearchReport:
             parent = os.getpid()
             read_end, write_end = os.pipe()
             pipe = open(read_end, "rb")
-            gc.freeze()
             try:
                 with warnings.catch_warnings():
                     # Python 3.12 warns that a fork of a multi-threaded process may
@@ -319,7 +315,6 @@ def _search(n: int, budget_seconds: float | None, out) -> SearchReport:
             os.waitpid(pid, 0)
         if pipe is not None:
             pipe.close()
-            gc.unfreeze()
         for body in bodies:
             body.file.close()
     return report
@@ -328,7 +323,7 @@ def _search(n: int, budget_seconds: float | None, out) -> SearchReport:
 def _work(read_end: int, write_end: int, n: int, lams: range, budget_seconds: float | None, start: float, body, parent: int) -> None:
     """Fold lams in a forked worker, send its report pickled on write_end, and leave the process.
 
-    Everything the worker runs, from its move off its parent's CPU
+    Everything the worker runs, from its step off its parent's CPU
     (_move_off) on, is inside one try, and it leaves by os._exit, so it
     runs no cleanup of its parent's and never returns into the stack it
     was forked from: with status 0 once the report is sent, and with status

@@ -1,5 +1,7 @@
 """Attack certificates, the bound suite, and the degree-gap statistic."""
 
+import random
+
 import pytest
 
 import symfai as s
@@ -48,6 +50,40 @@ def test_affine_multiplier_exhaustive_small():
             assert s.dense_degree(product) == cert.deg_h
             if not cert.vanishing:
                 assert cert.deg_h <= d - 2
+
+
+def _affine_degree_law(f):
+    """The degree of the affine multiplier's product, read coefficient by coefficient (None: it vanishes)."""
+    t = (f.degree() - 1) // 2
+    top_even = f.coefficient(2 * t)
+    for i in range(t - 1, -1, -1):
+        if top_even == 0:
+            hit = f.coefficient(2 * i) == 1
+        else:
+            hit = f.coefficient(2 * i) != f.coefficient(2 * i + 1)
+        if hit:
+            return 2 * i + 1
+    return None
+
+
+def _odd_degree_samples(n, rng):
+    # a dense f, whose law hits near its top, and sparse ones, whose law
+    # hits far below it or vanishes
+    for ones in (None, 0, 1, 2, 3):
+        d = rng.randrange(1, n + 1, 2)
+        low = rng.getrandbits(d) if ones is None else sum({1 << rng.randrange(d) for _ in range(ones)})
+        yield s.Sanfv(n, low | 1 << d)
+        yield s.Sanfv(n, low | 1 << d | 1 << d - 1)
+
+
+def test_affine_multiplier_degree_law_matches_the_coefficient_reading():
+    # affine_multiplier raises unless its product's degree is its own law's,
+    # so equal degrees here mean equal laws
+    rng = random.Random(32)
+    cases = [f for n in range(1, 13) for f in (s.Sanfv(n, bits) for bits in range(1 << (n + 1))) if (f.degree() or 0) % 2]
+    cases += [f for n in (4097, 8193, 65535) for _ in range(4) for f in _odd_degree_samples(n, rng)]
+    for f in cases:
+        assert s.affine_multiplier(f).deg_h == _affine_degree_law(f), f.n
 
 
 # ---------------------------------------------------------------------------

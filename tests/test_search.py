@@ -603,7 +603,7 @@ def test_merged_halves_equal_the_whole_census():
         assert _summary(merged) == _summary(whole), split
 
 
-def test_library_calls_never_fork(monkeypatch):
+def test_library_calls_never_fork(tmp_path, monkeypatch):
     # nor touch the affinity mask
     def fork(*args):
         raise AssertionError("forked or touched affinity")
@@ -615,8 +615,40 @@ def test_library_calls_never_fork(monkeypatch):
     monkeypatch.setattr(search, "_cpu", fork)
     report = profile_all(10)
     assert s.find_symmetric_mai(10) == [s.Sanfv.from_string(10, t) for t in report.mai_list]
-    # the capability check runs before any fork
+    # above the exact cap the search command raises before any fork, from
+    # the profile of f = 0 that builds the tables, and creates no file
     assert main(["search", "--n", "15"]) == 3
+    assert main(["search", "--n", "15", "--out", str(tmp_path / "capped.jsonl")]) == 3
+    assert list(tmp_path.iterdir()) == []
+
+
+_FREEZE_KEPT = """
+import gc, os, sys
+from symfai import search
+from symfai.cli import main
+
+search._usable_cpus = lambda: 2
+forks, fork = [], os.fork
+os.fork = lambda: forks.append(None) or fork()
+gc.freeze()
+counts = [gc.get_freeze_count()]
+main(["search", "--n", "10"])
+counts.append(gc.get_freeze_count())
+search._search(10, None, None)
+counts.append(gc.get_freeze_count())
+sys.stderr.write(f"{len(forks)} {counts}")
+"""
+
+
+def test_the_census_leaves_the_callers_frozen_heap_alone():
+    # main(argv) leaves gc alone, and so does the fanned-out census inside
+    # it.  A fresh process, since a test process frees frozen objects of its
+    # own meanwhile
+    proc = run_python("-c", _FREEZE_KEPT, text=True)
+    assert proc.returncode == 0, proc.stderr
+    forks, counts = proc.stderr.split(" ", 1)
+    counts = json.loads(counts)
+    assert forks == "2" and counts[0] > 0 and counts == [counts[0]] * 3
 
 
 _TEST_PID = os.getpid()
@@ -839,17 +871,27 @@ def test_this_process_never_touches_its_affinity(act, raises, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "mask, cpu, target",
-    [({0, 1}, 0, 1), ({0, 1}, 1, 0), ({0, 2, 5, 7}, 2, 5), ({0, 2, 5, 7}, 7, 0), ({1, 3}, 2, 3)],
+    "mask, cpu, calls",
+    [
+        ({0, 1}, 0, [{1}, {0, 1}]),
+        ({0, 1}, 1, [{0}, {0, 1}]),
+        ({0, 2, 5, 7}, 2, [{0, 5, 7}, {0, 2, 5, 7}]),
+        ({0, 2, 5, 7}, 7, [{0, 2, 5}, {0, 2, 5, 7}]),
+        ({1, 3}, 2, []),
+        ({0}, 0, []),
+    ],
+    ids=["two-first", "two-second", "four-inner", "four-last", "parent-outside-mask", "one-cpu-mask"],
 )
-def test_the_worker_moves_to_the_next_cpu_after_its_parents(mask, cpu, target, monkeypatch):
-    # both processes read cpu; the worker asks for target and then its mask
-    calls = []
+def test_the_worker_excludes_its_parents_cpu_for_a_moment(mask, cpu, calls, monkeypatch):
+    # the worker reads its parent's CPU once, when its mask has two CPUs or
+    # more; if that CPU is in the mask, it asks for the rest and then for
+    # the whole mask
+    asked, reads = [], []
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(mask), raising=False)
-    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, m: calls.append(set(m)), raising=False)
-    monkeypatch.setattr(search, "_cpu", lambda pid: cpu)
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, m: asked.append(set(m)), raising=False)
+    monkeypatch.setattr(search, "_cpu", lambda pid: reads.append(pid) or cpu)
     search._move_off(os.getppid())
-    assert calls == [{target}, mask]
+    assert asked == calls and reads == ([os.getppid()] if len(mask) > 1 else [])
 
 
 _MOVE_FAILS = """
@@ -857,13 +899,13 @@ import os, sys
 from symfai import search
 from symfai.cli import main
 
-parent, real = os.getpid(), os.sched_setaffinity
+parent, real, full = os.getpid(), os.sched_setaffinity, os.sched_getaffinity(0)
 
 def failing(pid, mask):
     where = "parent" if os.getpid() == parent else "worker"
     with open(sys.argv[3], "a") as calls:
         calls.write(f"{where} {sorted(mask)}\\n")
-    if sys.argv[2] == "refused" or len(mask) > 1:
+    if sys.argv[2] == "refused" or set(mask) == full:
         raise OSError(22, "injected in the " + where)
     real(pid, mask)
 
@@ -879,10 +921,10 @@ sys.exit(main(["search", "--n", "10", "--out", sys.argv[1]]))
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no affinity calls on this platform")
 @pytest.mark.parametrize("how", ["refused", "restore-refused"])
 def test_a_move_that_fails_costs_nothing(how, tmp_path):
-    # the worker reads itself on its parent's CPU.  Refused: both calls
-    # raise, on a mask that reads two CPUs on any host.  Restore refused:
-    # the worker really moves to the second CPU of the real mask and stays
-    # there until it exits
+    # the worker reads its parent on the first CPU of its mask.  Refused:
+    # both calls raise, on a mask that reads two CPUs on any host.  Restore
+    # refused: the worker really leaves the first CPU of the real mask and
+    # stays off it until it exits
     mask = sorted({0, 1} if how == "refused" else os.sched_getaffinity(0))
     if len(mask) < 2:
         pytest.skip("a real move needs two CPUs in the mask")
@@ -892,7 +934,7 @@ def test_a_move_that_fails_costs_nothing(how, tmp_path):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
     assert hashlib.sha256(target.read_bytes()).hexdigest() == _SEARCH_OUT_SHA256[10]
     assert list(target.parent.iterdir()) == [target]
-    assert calls.read_text().splitlines() == [f"worker [{mask[1]}]", f"worker {mask}"]
+    assert calls.read_text().splitlines() == [f"worker {mask[1:]}", f"worker {mask}"]
 
 
 def _one_usable_cpu(monkeypatch):
@@ -910,9 +952,11 @@ def _no_sched_setaffinity(monkeypatch):
 
 
 def _already_apart(monkeypatch):
+    # the parent reads CPU 0; a worker on CPU 1 asks for {1} and then
+    # {0, 1}, and the kernel leaves it where it runs
     monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(search, "_cpu", lambda pid: int(pid == "self"))
+    monkeypatch.setattr(search, "_cpu", lambda pid: 0)
 
 
 def _no_proc(monkeypatch):
@@ -925,17 +969,17 @@ def _no_proc(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "setup, fans_out",
+    "setup, fans_out, calls",
     [
-        (_one_usable_cpu, False),
-        (_one_cpu_in_the_real_mask, True),
-        (_no_sched_setaffinity, True),
-        (_already_apart, True),
-        (_no_proc, True),
+        (_one_usable_cpu, False, []),
+        (_one_cpu_in_the_real_mask, True, []),
+        (_no_sched_setaffinity, True, []),
+        (_already_apart, True, ["worker [1]", "worker [0, 1]"]),
+        (_no_proc, True, []),
     ],
     ids=["one-usable-cpu", "one-cpu-mask", "no-sched-setaffinity", "already-apart", "no-proc"],
 )
-def test_no_move_unless_the_worker_shares_its_parents_cpu(setup, fans_out, tmp_path, monkeypatch, capsys):
+def test_no_move_unless_the_worker_shares_its_parents_cpu(setup, fans_out, calls, tmp_path, monkeypatch, capsys):
     # any call, in either process, is logged to a file; a worker that fans
     # out sends its report, so this process folds the lower half only
     log = tmp_path / "calls"
@@ -944,7 +988,7 @@ def test_no_move_unless_the_worker_shares_its_parents_cpu(setup, fans_out, tmp_p
 
     def log_call(pid, mask):
         with open(log, "a") as handle:
-            handle.write(f"{os.getpid()} {sorted(mask)}\n")
+            handle.write(f"{'parent' if os.getpid() == _TEST_PID else 'worker'} {sorted(mask)}\n")
 
     monkeypatch.setattr(os, "sched_setaffinity", log_call, raising=False)
     folds, fold = [], search._fold
@@ -960,7 +1004,8 @@ def test_no_move_unless_the_worker_shares_its_parents_cpu(setup, fans_out, tmp_p
     assert capsys.readouterr() == ("", "")
     assert hashlib.sha256(target.read_bytes()).hexdigest() == _SEARCH_OUT_SHA256[10]
     assert folds == [range(1024)] + ([] if fans_out else [range(1024, 2048)])
-    assert not log.exists() and list(target.parent.iterdir()) == [target]
+    assert (log.read_text().splitlines() if log.exists() else []) == calls
+    assert list(target.parent.iterdir()) == [target]
 
 
 def _fork_eagain(monkeypatch):
