@@ -21,7 +21,10 @@ bytes as one process's.
 
 --out has one path for every command: main examines the target once,
 before any work (a _Target), and the command's output is published to it
-once complete (_Target.publish) with the bytes stdout would get.  A
+once complete (_Target.publish).  For every command but search that
+output is the bytes stdout would get.  search --format shapes only the
+summary search writes to stdout; search --out writes JSON Lines instead
+(the compact summary, then one profile per line) and nothing to stdout.  A
 missing or regular target gets a new file beside the file it names,
 renamed over it when all is written, so a failed command or write leaves
 an existing target as it was; a FIFO or a device is written in place.

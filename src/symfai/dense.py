@@ -6,6 +6,11 @@ annihilators and minimum-degree low-degree multiples, all computed by plain
 GF(2) linear algebra over every point of the cube.  Truth tables and ANF
 coefficient vectors are ints (bit x = value at point x; the bits of x are
 the variable values, variable i = bit i).
+
+Both searches eliminate with gf2.BitBasis.  The immunity engine eliminates
+in its own loop inside immunity._multiplier_scan and names no BitBasis,
+and this module imports nothing of the engine, so a fault in one
+elimination cannot hide in the other.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import numpy as np
 
 from .errors import CapabilityError, InvariantViolation
 from .gf2 import (
+    BitBasis,
     bit_array_to_int,
     graded_masks,
     int_to_bit_array,
@@ -168,11 +174,6 @@ def monomials_graded(n: int) -> tuple[int, ...]:
     return _rank_tables(n)[1]
 
 
-def monomial_count_through_degree(n: int, d: int) -> int:
-    prefix = _rank_tables(n)[2]
-    return int(prefix[min(d, n)]) if d >= 0 else 0
-
-
 def permuted_anf_int(n: int, anf_bits: int) -> int:
     """Repack ANF coefficients into graded coordinate order (rank r = bit r)."""
     arr = int_to_bit_array(anf_bits, 1 << n)
@@ -210,36 +211,6 @@ def _monomial_tables(n: int) -> _MonomialTables:
 
 
 # ---------------------------------------------------------------------------
-# the oracle's own elimination
-# ---------------------------------------------------------------------------
-
-
-def _echelon_insert(
-    echelon: dict[int, tuple[int, int]], vec: int, comb: int
-) -> tuple[int | None, int, int]:
-    """Reduce vec by the rows of a top-bit echelon and adopt it if independent.
-
-    The echelon maps each pivot (a row's highest set bit) to (row, comb),
-    where comb names, as a bit mask over column indices, the inserted
-    columns that XOR to the row; the caller passes vec's own comb.  While
-    vec's highest bit is a pivot, that row is XOR-ed in.  Returns
-    (pivot, row, comb) for an adopted vec, else (None, 0, comb) with comb
-    naming columns that XOR to zero.  The oracle keeps this elimination to
-    itself: the immunity engine eliminates in its own loop inside
-    immunity._multiplier_scan, so a fault in one cannot hide in the other.
-    """
-    while vec:
-        pivot = vec.bit_length() - 1
-        entry = echelon.get(pivot)
-        if entry is None:
-            echelon[pivot] = (vec, comb)
-            return pivot, vec, comb
-        vec ^= entry[0]
-        comb ^= entry[1]
-    return None, 0, comb
-
-
-# ---------------------------------------------------------------------------
 # annihilators
 # ---------------------------------------------------------------------------
 
@@ -250,18 +221,19 @@ def _annihilator_search(
     """Least degree of a nonzero g with g*side = 0 for one of the sides, with a witness.
 
     Works column by column: monomials in graded order are restricted to the
-    support of each side and inserted into that side's own echelon
-    (_echelon_insert, combinations over graded ranks); the first dependent
-    column yields the witness as its recorded combination, checked before it
-    is returned.  (None, None) when no side has an annihilator.
+    support of each side and inserted into that side's own gf2.BitBasis.
+    Each side inserts one column per monomial, so insertion indices are
+    graded ranks and a combination names monomials.  The first dependent
+    column yields the witness as its combination, checked before it is
+    returned.  (None, None) when no side has an annihilator.
     """
     n = sides[0].n
     tables = _monomial_tables(n)
-    echelons = [{} for _ in sides]
-    for rank, mask in enumerate(monomials_graded(n)):
+    bases = [BitBasis() for _ in sides]
+    for mask in monomials_graded(n):
         tt = tables.truth_table(mask)
-        for side, echelon in zip(sides, echelons):
-            pivot, _, comb = _echelon_insert(echelon, tt & side.bits, 1 << rank)
+        for side, basis in zip(sides, bases):
+            pivot, _, comb = basis.insert(tt & side.bits)
             if pivot is None:
                 witness = DenseAnf(n, permuted_rank_to_anf_bits(n, comb))
                 d = mask.bit_count()
@@ -334,9 +306,9 @@ def _ranked_product_columns(f: DenseBooleanFunction, e: int) -> list[int]:
     """For each monomial m of degree <= e, the ANF of m*f in graded coordinates."""
     n = f.n
     tables = _monomial_tables(n)
-    count = monomial_count_through_degree(n, e)
+    _, monomials, prefix = _rank_tables(n)
     cols = []
-    for mask in monomials_graded(n)[:count]:
+    for mask in monomials[: prefix[e]]:
         anf_bits = subset_xor_transform(tables.truth_table(mask) & f.bits, n)
         cols.append(permuted_anf_int(n, anf_bits))
     return cols
@@ -346,16 +318,17 @@ def min_multiplier_degree(f: DenseBooleanFunction, e: int) -> MultiplierSearch:
     """Minimum product degree over nonconstant g with deg(g) <= e.
 
     One elimination: the product columns m*f (monomials m of degree <= e,
-    graded order) go into one echelon (_echelon_insert) whose pivots are
-    highest bits.  A nonzero combination of its rows leads with its highest
-    involved pivot, so the g with deg(g*f) <= d are the combinations of the
-    rows pivoted below degree d plus the kernel, which holds the
-    annihilators.  Every row but the constant column's has a nonconstant
-    combination; that row (g = 1, h = f) counts only when an annihilator k
-    exists, and is then reported as g = 1 + k.  ``d`` is the degree of the
-    least eligible pivot and h = g*f is that row, so h has the least leading
-    monomial of all nonzero products with nonconstant g; the annihilator is
-    the first dependent column's combination.  Both witnesses are
+    graded order) go into one gf2.BitBasis, whose pivots are highest bits
+    and whose insertion indices are graded ranks.  A nonzero combination of
+    its rows leads with its highest involved pivot, so the g with deg(g*f)
+    <= d are the combinations of the rows pivoted below degree d plus the
+    kernel, which holds the annihilators.  Every row but the constant
+    column's has a nonconstant combination; that row (g = 1, h = f) counts
+    only when an annihilator k exists, and is then reported as g = 1 + k.
+    ``d`` is the degree of the least eligible pivot and h = g*f is that row,
+    so h has the least leading monomial of all nonzero products with
+    nonconstant g; the annihilator is the first dependent column's
+    combination, of the degree of its leading column.  Both witnesses are
     re-verified on truth tables before returning.
     """
     n = f.n
@@ -366,11 +339,11 @@ def min_multiplier_degree(f: DenseBooleanFunction, e: int) -> MultiplierSearch:
         x0 = DenseAnf(n, 1 << 1)  # coefficient mask 1, the monomial x_0
         return MultiplierSearch(e, None, x0, DenseAnf(n, 0), x0)
 
-    echelon = {}
+    basis = BitBasis()
     rows = []  # (pivot, product, combination) of each adopted column
     kernel = None
-    for rank, col in enumerate(_ranked_product_columns(f, e)):
-        pivot, row, comb = _echelon_insert(echelon, col, 1 << rank)
+    for col in _ranked_product_columns(f, e):
+        pivot, row, comb = basis.insert(col)
         if pivot is not None:
             rows.append((pivot, row, comb))
         elif kernel is None:
@@ -390,8 +363,7 @@ def min_multiplier_degree(f: DenseBooleanFunction, e: int) -> MultiplierSearch:
     annihilator = None
     if kernel is not None:
         annihilator = DenseAnf(n, permuted_rank_to_anf_bits(n, kernel))
-        if anf_to_table(annihilator).bits & f.bits:
-            raise InvariantViolation("kernel element is not an annihilator")
+        _check_annihilator(f, annihilator, monomials_graded(n)[kernel.bit_length() - 1].bit_count())
     result = MultiplierSearch(e, d, g, h, annihilator)
     if result.combined_minimum > n - e:
         raise InvariantViolation(

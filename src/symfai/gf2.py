@@ -98,6 +98,11 @@ class BitBasis:
     over insertion indices: XOR-ing the inserted vectors it names gives the
     row.  On a dependent insert the returned combination names inserted
     vectors that XOR to zero.
+
+    This is the elimination of both references: the dense oracle
+    (dense.py) and the tests' reference scan.  The immunity engine's scan
+    keeps its own loop, so neither reference shares elimination code with
+    the fast path.
     """
 
     __slots__ = ("_rows", "count")

@@ -331,6 +331,90 @@ def test_each_command_loads_only_the_modules_it_runs(argv, modules):
     assert json.loads(proc.stdout) == [0, sorted(f"symfai.{m}" for m in modules)]
 
 
+# Runs every command in process and prints, per command, its exit code and
+# the sha256 of its stdout, its stderr and its --out file.  With "guard", each
+# checking route (the references' elimination, the orbit-table helpers the
+# scan replaced, the reference JSONL writer, the attacks alias) records its
+# name in a file and raises, and symfai.dense cannot be imported; the record
+# file catches a call in the forked census worker, whose failure the census
+# would otherwise absorb by folding the worker's half itself.
+_GUARDED_COMMANDS = """
+import contextlib, hashlib, io, json, os, sys
+
+from symfai import search
+from symfai.cli import main
+
+guard, hits = sys.argv[1] == "guard", "hits.txt"
+if guard:
+    from symfai import attacks, gf2, immunity
+
+    def forbid(name):
+        def call(*args, **kwargs):
+            with open(hits, "a") as log:
+                log.write(name + "\\n")
+            raise AssertionError(name + " reached")
+
+        return call
+
+    gf2.BitBasis.insert = forbid("gf2.BitBasis.insert")
+    for name in ("_class_delta_echelon", "_class_truth_table", "_product_columns", "_zero_span_min_degree", "all_zero_set_degrees"):
+        setattr(immunity, name, forbid("immunity." + name))
+    search.write_profiles_jsonl = forbid("search.write_profiles_jsonl")
+    attacks.bound_suite = forbid("attacks.bound_suite")
+    sys.modules["symfai.dense"] = None  # importing it raises ImportError
+search._usable_cpus = lambda: 2
+forks, fork = [], os.fork
+os.fork = lambda: forks.append(None) or fork()
+
+commands = [
+    ["analyze", "--n", "13", "--f", "majority"],
+    ["analyze", "--n", "13", "--f", "majority", "--format", "pretty"],
+    ["analyze", "--n", "14", "--f", "v:000000011111111"],
+    ["analyze", "--n", "14", "--f", "v:000000011111111", "--format", "pretty"],
+    ["search", "--n", "8"],
+    ["search", "--n", "10", "--out", "census10.jsonl"],
+    ["attack", "--n", "9", "--f", "majority"],
+    ["stat", "--n", "9", "--samples", "2"],
+    ["convert", "--n", "9", "--f", "majority"],
+    ["tables"],
+]
+results = []
+for argv in commands:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    digests = [hashlib.sha256(text.encode()).hexdigest() for text in (out.getvalue(), err.getvalue())]
+    if "--out" in argv:
+        with open(argv[-1], "rb") as file:
+            digests.append(hashlib.sha256(file.read()).hexdigest())
+    results.append([argv, code, *digests])
+try:
+    import symfai.dense  # noqa: F401
+    dense_loads = True
+except ImportError:
+    dense_loads = False
+recorded = open(hits).read() if os.path.exists(hits) else ""
+print(json.dumps({"results": results, "forks": len(forks), "dense_loads": dense_loads, "hits": recorded}))
+"""
+
+
+def test_no_command_reaches_a_checking_route(tmp_path):
+    # every output byte and exit code is the same when the checking routes
+    # raise, so the production paths (the forked census worker included)
+    # reach none of them, and deleting them changes no output
+    runs = {}
+    for mode in ("plain", "guard"):
+        (tmp_path / mode).mkdir()
+        proc = run_python("-c", _GUARDED_COMMANDS, mode, text=True, cwd=tmp_path / mode)
+        assert proc.returncode == 0, proc.stderr
+        runs[mode] = json.loads(proc.stdout)
+    plain, guard = runs["plain"], runs["guard"]
+    assert (guard["hits"], guard["dense_loads"], plain["dense_loads"]) == ("", False, True)
+    assert plain["forks"] == guard["forks"] == 1
+    assert [r[1] for r in plain["results"]] == [0] * 10
+    assert guard["results"] == plain["results"]
+
+
 _THREAD_PROBE = (
     "import atexit, os, runpy, sys\n"
     "atexit.register(lambda: print(len(os.listdir('/proc/self/task')), file=sys.stderr))\n"

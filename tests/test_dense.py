@@ -1,54 +1,67 @@
 """Dense oracle: ANF transform, annihilators, low-degree multiples."""
 
+import hashlib
+import inspect
 import random
+from pathlib import Path
 
 import pytest
 
 import symfai as s
-from symfai import dense
+from symfai import dense, immunity
 from symfai.errors import CapabilityError, InvariantViolation
 
-from conftest import iter_bits_reference, naive_rank, random_sanfv
+from conftest import iter_bits_reference, random_sanfv
 
 
 def x_i(n, i):
     return s.DenseBooleanFunction(n, sum(1 << x for x in range(1 << n) if (x >> i) & 1))
 
 
-def test_echelon_rank_against_naive_elimination():
-    # the oracle's own elimination against the naive reference that also checks gf2.BitBasis
-    rng = random.Random(8)
-    for _ in range(50):
-        rows = [rng.getrandbits(12) for _ in range(rng.randrange(1, 10))]
-        echelon = {}
-        adopted = sum(dense._echelon_insert(echelon, r, 1 << i)[0] is not None for i, r in enumerate(rows))
-        assert adopted == len(echelon) == naive_rank(rows, 12)
-
-
-def test_echelon_combination_tracking():
-    rng = random.Random(9)
-    for _ in range(30):
-        vectors = [rng.getrandbits(16) for _ in range(12)]
-        echelon = {}
-        for idx, v in enumerate(vectors):
-            pivot, row, comb = dense._echelon_insert(echelon, v, 1 << idx)
-            recombined = 0
-            for j in iter_bits_reference(comb):
-                recombined ^= vectors[j]
-            # an adopted row is the XOR of the columns its comb names; a
-            # dependent insert's comb names columns that XOR to zero
-            assert recombined == row and (comb >> idx) & 1
-            assert (pivot is None) == (row == 0)
-            if pivot is not None:
-                assert row.bit_length() - 1 == pivot and echelon[pivot] == (row, comb)
+def _code_names(code) -> set[str]:
+    """Every name a code object and the code nested in it (functions, comprehensions) reads."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if inspect.iscode(const):
+            names |= _code_names(const)
+    return names
 
 
 def test_oracle_shares_no_elimination_with_the_engine():
-    # the immunity engine eliminates inside _multiplier_scan, and gf2.BitBasis
-    # is the elimination it used before; the oracle must reach neither
-    assert not hasattr(dense, "BitBasis") and not hasattr(dense, "immunity")
-    for fn in (dense._annihilator_search, dense.min_multiplier_degree):
-        assert not {"BitBasis", "immunity", "_multiplier_scan"} & set(fn.__code__.co_names)
+    # the oracle eliminates with gf2.BitBasis and the engine in its own loop
+    # inside _multiplier_scan: the oracle reaches no engine code, and the
+    # engine's solve path names no BitBasis
+    module = compile(Path(dense.__file__).read_text(), dense.__file__, "exec")
+    assert not {"immunity", "_multiplier_scan"} & _code_names(module)
+    verifiers = [getattr(immunity, name) for name in dir(immunity) if name.startswith("_verify_")]
+    assert len(verifiers) == 2
+    solve_path = [immunity.profile, immunity._multiplier_scan, immunity._pair_scan, immunity.fai_given_ai, immunity._witness]
+    for fn in solve_path + verifiers:
+        assert "BitBasis" not in _code_names(inspect.unwrap(fn).__code__), fn.__name__
+
+
+# sha256 of the oracle's answers and witnesses: ai, min_annihilator_degree
+# and min_multiplier_degree at every e, over all of SB_1..SB_7 and 300
+# seeded tables with n <= 6, pinned while the oracle had its own copy of
+# the elimination
+_ORACLE_SHA256 = "df983fee1fcd378b294fd1544d6e45666605492ba7e08f60d3b6bf0dbee3ac56"
+
+
+def test_oracle_outputs_are_pinned():
+    rng = random.Random(33)
+    tables = [dense.dense_from_sanfv(s.Sanfv(n, lam)) for n in range(1, 8) for lam in range(1 << (n + 1))]
+    for _ in range(300):
+        n = rng.randrange(1, 7)
+        tables.append(dense.DenseBooleanFunction(n, rng.getrandbits(1 << n)))
+    digest = hashlib.sha256()
+    for f in tables:
+        d, g = dense.min_annihilator_degree(f)
+        record = [f.n, f.bits, dense.ai(f), d, g and g.bits]
+        for e in range(1, f.n):
+            r = dense.min_multiplier_degree(f, e)
+            record += [r.d, r.g.bits, r.h.bits, r.annihilator and r.annihilator.bits]
+        digest.update(repr(record).encode())
+    assert digest.hexdigest() == _ORACLE_SHA256
 
 
 def test_moebius_hand_example():

@@ -82,7 +82,7 @@ def test_basis_combination_tracking():
             assert recombined == row and (comb >> idx) & 1
             assert (pivot is None) == (row == 0)
             if pivot is not None:
-                assert row.bit_length() - 1 == pivot
+                assert row.bit_length() - 1 == pivot and basis._rows[pivot] == (row, comb)
 
 
 def test_parity_binomial_edge():
