@@ -15,9 +15,11 @@ implemented, read off directly from the SANFV of f:
 
 Certificates verify themselves on construction: the product is recomputed
 with the SANFV ring arithmetic and the promised degree bound is checked.
-The degree/AI/FAI bound checks and the bound tables live in bounds; this
-module binds bound_suite only because the benchmark's tracer
-(perfbench/tracer.py) wraps it under this name.
+The degree/AI/FAI bound checks and the bound tables live in bounds, which
+this module does not import: attack and stat never check bounds, so their
+launches do not compile it.  attacks.bound_suite remains only because the
+benchmark's tracer (perfbench/tracer.py) wraps it under this name; it
+imports bounds when it is called.
 """
 
 from __future__ import annotations
@@ -27,12 +29,14 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import TYPE_CHECKING
 
-from .bounds import _in_window, bound_suite  # noqa: F401  (bound_suite: see the module docstring)
 from .errors import InvariantViolation
-from .sanfv import Sanfv, _check_n, add, mul, one, sigma, split
+from .sanfv import Sanfv, _check_n, _in_window, add, mul, one, sigma, split
 
 if TYPE_CHECKING:
     from fractions import Fraction
+
+    from .bounds import BoundReport
+    from .immunity import ImmunityProfile
 
 SOURCE_AFFINE = "thm3"
 SOURCE_RESIDUE = "thm4"
@@ -83,6 +87,13 @@ class AttackCertificate:
             "params": dict(self.params),
             "vanishing": self.vanishing,
         }
+
+
+def bound_suite(profile: ImmunityProfile) -> BoundReport:
+    """bounds.bound_suite, with bounds imported on the first call (see the module docstring)."""
+    from . import bounds
+
+    return bounds.bound_suite(profile)
 
 
 def _certificate(source, f, g, h, params, pair_bound) -> AttackCertificate:

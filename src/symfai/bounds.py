@@ -4,7 +4,9 @@ bound_suite checks a profile against the inequalities that tie deg(f),
 AI(f) and FAI(f) of a symmetric f together, plus the classical FAI < n
 expectation; the two bound tables list the power-of-two bands those bounds
 rest on.  None of it needs the certificate constructions of attacks, so
-analyze, search and tables load this module without them.
+analyze, search and tables load this module without them, and attack and
+stat, which check no bounds, do not load it (the window test _in_window
+lives in sanfv, which every command loads).
 """
 
 from __future__ import annotations
@@ -13,15 +15,11 @@ import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from .sanfv import _in_window
+
 if TYPE_CHECKING:
     from .immunity import ImmunityProfile
     from .sanfv import Sanfv
-
-
-def _in_window(n: int) -> bool:
-    """Whether 2^m <= n < 2^m + 2^(m-1) - 1 for m = floor(log2 n); empty for m < 2."""
-    m = n.bit_length() - 1
-    return m >= 2 and n < (1 << m) + (1 << (m - 1)) - 1
 
 
 @dataclass(frozen=True)

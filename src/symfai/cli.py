@@ -10,11 +10,11 @@ requests with identical seeds produce byte-identical output.  Exit codes:
 invariant violation (the message carries the counterexample).
 
 Each handler imports the modules it runs, so a launch compiles only those:
-attack and stat load the SANFV ring, the certificates (attacks) and the
-bound checks (bounds), tables the ring and bounds, convert the ring alone,
-analyze the ring, bounds and the immunity engine, and search the census on
-top of those.  No command loads the dense oracle or, outside attack and
-stat, the certificate code.  search uses up to two
+attack and stat load the SANFV ring and the certificates (attacks), tables
+the ring and the bound checks (bounds), convert the ring alone, analyze the
+ring, bounds and the immunity engine, and search the census on top of
+those.  No command loads the dense oracle or, outside attack and stat, the
+certificate code, and those two load no bound checks.  search uses up to two
 processes from n = 10: a forked worker folds half of SB_n, or this
 process does if the fork or the worker fails, and the output is the same
 bytes as one process's.
@@ -32,12 +32,12 @@ search stages its profile lines in files the target makes (_Target.stage)
 and hands them to the same publish.
 
 Called with no argv (the symfai script, python -m symfai.cli), main() owns
-the process and registers gc.freeze with atexit: at exit every object moves
-to the permanent generation, so the interpreter's final collections skip
-them and the operating system reclaims the heap in one step, which saves
-15-20 ms of every launch.  Other atexit handlers still run and stdout and
-stderr are still flushed, so exit codes and output bytes do not change.
-main(argv) with a list leaves gc and atexit alone.
+the process: once the command returns its code, main runs the atexit
+handlers, flushes stdout and stderr and leaves by os._exit(code), as the
+census worker does, so finalization never frees the heap object by object.
+If a flush fails, main returns the code and finalization reports the error
+as before (exit 120 on a full device); a usage error or an unexpected
+exception propagates.  main(argv) with a list returns and leaves atexit alone.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from __future__ import annotations
 import argparse
 import atexit
 import errno
-import gc
 import json
 import os
 import shutil
@@ -284,10 +283,19 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        # The process ends after main: freezing at exit spares finalization
-        # its collections of the whole heap, numpy's cycles included.
-        atexit.register(gc.freeze)
+    code = _run(argv)
+    if argv is None:  # this process ends here: leave it without finalization
+        atexit._run_exitfuncs()
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        except Exception:
+            return code  # finalization flushes again and reports the error
+        os._exit(code)
+    return code
+
+
+def _run(argv) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.out == "":  # every command has --out; reject an empty one before any work

@@ -34,6 +34,16 @@ def _check_n(n: int) -> None:
         raise ValueError(f"variable count {n} exceeds the supported limit {MAX_VARIABLES}")
 
 
+def _in_window(n: int) -> bool:
+    """Whether 2^m <= n < 2^m + 2^(m-1) - 1 for m = floor(log2 n); empty for m < 2.
+
+    The window of n slightly above a power of two, where attacks builds its
+    dichotomy certificate and bounds checks the FAI upper bound.
+    """
+    m = n.bit_length() - 1
+    return m >= 2 and n < (1 << m) + (1 << (m - 1)) - 1
+
+
 @dataclass(frozen=True)
 class Sanfv:
     """A symmetric function as its SANFV: bit i is the coefficient of sigma_i."""

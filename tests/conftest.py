@@ -18,7 +18,8 @@ def run_python(*args: str, **kwargs) -> subprocess.CompletedProcess:
     """Run ``python *args`` in a fresh interpreter that imports the same symfai as this process."""
     src = str(Path(s.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=120, **kwargs)
+    kwargs = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **kwargs}
+    return subprocess.run([sys.executable, *args], env=env, timeout=120, **kwargs)
 
 
 def fai_brute(f: s.Sanfv) -> tuple[int, int]:

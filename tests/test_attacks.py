@@ -264,6 +264,15 @@ def test_bound_suite_reports_carry_their_own_f():
                 assert report.f != other.f
 
 
+def test_attacks_bound_suite_is_the_bounds_one():
+    # attacks binds bound_suite for the benchmark's tracer and imports
+    # bounds only when it is called
+    from symfai import attacks, bounds
+
+    for p in profile_all(7).profiles:
+        assert attacks.bound_suite(p) == bounds.bound_suite(p)
+
+
 # ---------------------------------------------------------------------------
 # degree-gap statistic
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 """Command line behaviour: outputs, determinism, exit codes."""
 
-import atexit
 import errno
 import gc
 import hashlib
@@ -308,8 +307,8 @@ _ENGINE = _RING | {"bounds", "immunity"}
 @pytest.mark.parametrize(
     "argv, modules",
     [
-        (["attack", "--n", "9", "--f", "majority"], _RING | {"attacks", "bounds"}),
-        (["stat", "--n", "9", "--samples", "2"], _RING | {"attacks", "bounds"}),
+        (["attack", "--n", "9", "--f", "majority"], _RING | {"attacks"}),
+        (["stat", "--n", "9", "--samples", "2"], _RING | {"attacks"}),
         (["convert", "--n", "9", "--f", "majority"], _RING),
         (["analyze", "--n", "8", "--f", "v:111110000"], _ENGINE),
         (["search", "--n", "4"], _ENGINE | {"search"}),
@@ -623,41 +622,91 @@ def test_cross_process_determinism(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-# A process that the CLI owns freezes its heap at exit (cli.main with no
-# argv), so nothing may depend on the collector finalizing leftovers there.
+# A process that the CLI owns (cli.main with no argv) runs its atexit
+# handlers, flushes and leaves by os._exit, skipping finalization; nothing
+# may depend on the collector finalizing leftovers there.  No test calls
+# main() without argv in this process, which it would end.
 
 _CLI_ENTRY = "import sys; from symfai.cli import main; sys.exit(main())"
-_FREEZE_PROBE = (
-    "import atexit, gc, os, sys\n"
-    "atexit.register(lambda: os.write(2, b'frozen: %d\\n' % gc.get_freeze_count()))\n"
-    "sys.argv = ['symfai', 'tables']\n"
+# registers an atexit handler before main, and reports whether main returned
+_EXIT_PROBE = (
+    "import atexit, os, sys\n"
+    "atexit.register(os.write, 2, b'atexit\\n')\n"
     "from symfai.cli import main\n"
-    "sys.exit(main({}))\n"
+    "code = main()\n"
+    "os.write(2, b'returned %d\\n' % code)\n"
+    "sys.exit(code)\n"
 )
 
 
-def test_a_cli_process_freezes_its_heap_at_exit():
-    # the probe registers before main, so it runs after main's hook (atexit is LIFO)
-    proc = run_python("-c", _FREEZE_PROBE.format(""), text=True)
-    assert proc.returncode == 0
-    assert proc.stdout == run_cli(["tables"])[1]
-    frozen = int(proc.stderr.removeprefix("frozen: "))
-    assert frozen > 0
-    # the same launch through main(argv) freezes nothing
-    proc = run_python("-c", _FREEZE_PROBE.format("sys.argv[1:]"), text=True)
-    assert (proc.returncode, proc.stderr) == (0, "frozen: 0\n")
+def test_a_cli_process_runs_its_atexit_handlers_and_leaves_from_main():
+    proc = run_python("-c", _EXIT_PROBE, "tables", text=True)
+    # the handler ran once, and main did not return
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, run_cli(["tables"])[1], "atexit\n")
 
 
-def test_main_with_argv_registers_no_exit_hook(monkeypatch):
-    registered = []
-    monkeypatch.setattr(atexit, "register", registered.append)
-    frozen = gc.get_freeze_count()
-    assert run_cli(["tables"])[0] == 0
-    assert registered == [] and gc.get_freeze_count() == frozen
-    # main() with no argv reads sys.argv and registers the hook
-    monkeypatch.setattr(sys, "argv", ["symfai", "tables"])
-    assert run_cli(None)[0] == 0
-    assert registered == [gc.freeze] and gc.get_freeze_count() == frozen
+@pytest.mark.parametrize(
+    "argv, status",
+    [
+        (["tables"], 0),
+        (["analyze", "--n", "5", "--f", "bogus"], 2),
+        (["bogus"], 2),  # argparse's usage error raises SystemExit
+        (["search", "--n", "15"], 3),
+        (["search", "--n", "6"], 4),
+    ],
+    ids=["ok", "bad-request", "usage", "capability", "violations"],
+)
+def test_a_cli_process_exits_as_main_argv_returns(argv, status):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # the usage error
+            code = exc.code
+    assert code == status
+    for entry in (("-m", "symfai.cli"), ("-c", _CLI_ENTRY), ("-c", _EXIT_PROBE)):
+        proc = run_python(*entry, *argv, text=True)
+        # the probe's handler runs once on every route, and main never
+        # returns: it leaves, or the usage error propagates
+        probed = "atexit\n" if entry[1] == _EXIT_PROBE else ""
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.getvalue(), err.getvalue() + probed), entry
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_failed_stdout_flush_leaves_through_finalization(monkeypatch):
+    # with buffered stdout the output reaches the device only as the process
+    # ends; main then returns, and finalization reports the failed flush
+    # exactly as it does for any script
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+
+    def launch(*args):
+        with open("/dev/full", "wb") as full:
+            proc = run_python(*args, stdout=full, text=True)
+        return proc.returncode, proc.stderr
+
+    expected = launch("-c", "import sys; sys.stdout.write('x\\n')")
+    assert expected[0] == 120 and expected[1].startswith("Exception ignored")
+    assert launch("-m", "symfai.cli", "tables") == expected
+    assert launch("-c", _CLI_ENTRY, "tables") == expected
+    # the atexit handler ran in main, and finalization does not run it again
+    assert launch("-c", _EXIT_PROBE, "tables") == (120, "atexit\nreturned 0\n" + expected[1])
+
+
+def test_main_with_argv_returns_and_leaves_atexit_alone():
+    code = (
+        "import atexit, contextlib, io\n"
+        "from symfai.cli import main\n"
+        "atexit.register(print, 'atexit')\n"
+        "handlers, registered = atexit._ncallbacks(), []\n"
+        "atexit.register = registered.append\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['tables'])\n"
+        "print(code, registered, atexit._ncallbacks() == handlers)\n"
+    )
+    proc = run_python("-c", code, text=True)
+    # main returned 0, registered nothing, ran no handler, and the process
+    # went on; the handler ran at its exit
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 [] True\natexit\n", "")
 
 
 def _attack_spec(n: int) -> str:
