@@ -1,10 +1,11 @@
 """Command line front end: analyze, attack, search, convert, tables, stat.
 
 Output is machine-first (JSON, CSV); --format pretty indents the JSON for
-humans.  The JSON of analyze is rendered directly from the witnesses'
-monomial masks (immunity._ProfileRenderer) and is byte-equal to json.dumps
-with sorted keys and compact separators, so no encoder holds one token per
-monomial; --format pretty re-indents that one line.  Identical
+humans.  analyze renders its one line of JSON (the profile's record plus
+the bound checks) directly from the witnesses' monomial masks with
+immunity._ProfileRenderer, byte-equal to json.dumps with sorted keys and
+compact separators, so no encoder holds one token per monomial; for
+--format pretty, _run_analyze re-indents that line.  Identical
 requests with identical seeds produce byte-identical output.  Exit codes:
 0 success, 2 bad request, 3 capability or budget exceeded, 4 internal
 invariant violation (the message carries the counterexample).
@@ -199,21 +200,14 @@ def _emit(text: str, out: _Target | None) -> None:
     (sys.stdout.write if out is None else out.publish)(text)
 
 
-def _analyze_text(profile, report, fmt: str) -> str:
-    """The analyze payload: the profile's JSON dict plus the bound checks."""
-    from .immunity import _ProfileRenderer
-
-    line = _ProfileRenderer(_COMPACT).render(profile, report)
-    return _dump(json.loads(line), fmt) if fmt == "pretty" else line
-
-
 def _run_analyze(args) -> int:
     from . import bounds, immunity
 
     f = parse_function(args.n, args.f)
     profile = immunity.profile(f)
     report = bounds.bound_suite(profile)
-    _emit(_analyze_text(profile, report, args.format), args.out)
+    line = immunity._ProfileRenderer(_COMPACT).render(profile, report)
+    _emit(_dump(json.loads(line), "pretty") if args.format == "pretty" else line, args.out)
     return 0 if report.all_ok else 4
 
 

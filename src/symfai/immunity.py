@@ -175,15 +175,16 @@ class _ProfileRenderer:
     "bounds_ok" added.  It builds neither that dict nor the encoder's
     token list.  Each distinct witness tuple is listed once: listings are
     keyed by the tuple's identity, and each entry holds the tuple, so its id
-    is not reused while the renderer lives.  With ``memo_monomials`` each
-    monomial's text is also kept, made the first time a witness holds its
-    mask; that pays off across the many witnesses of a census, while a
-    single render keeps its peak small without it.
+    is not reused while the renderer lives.  Once its first render has
+    returned, a renderer also keeps each monomial's text, made the first
+    time a witness holds its mask: that pays off across the many lines of a
+    census or a report, while a renderer that renders one line, as analyze's
+    does, keeps its peak small without it.
     """
 
-    def __init__(self, separators: tuple[str, str], memo_monomials: bool = False):
+    def __init__(self, separators: tuple[str, str]):
         self.item, self.key = separators
-        self._monomials: dict[int, str] | None = {} if memo_monomials else None
+        self._monomials: dict[int, str] | None = None  # started once the first render has returned
         self._listings: dict[int, tuple[tuple[int, ...], str]] = {}
 
     def _listed(self, masks: tuple[int, ...]) -> str:
@@ -214,12 +215,14 @@ class _ProfileRenderer:
             checks = json.dumps([c.to_json_dict() for c in report.checks], sort_keys=True, separators=(item, key))
             bounds = f'{item}"bounds"{key}{checks}{item}"bounds_ok"{key}{"true" if report.all_ok else "false"}'
         deg = p.deg
-        return (
+        line = (
             f'{{"ai"{key}{p.ai}{item}"ai_witness"{key}{self._listed(p.ai_witness)}{bounds}{item}'
             f'"capped"{key}{"true" if p.capped else "false"}{item}"deg"{key}{"null" if deg is None else deg}{item}'
             f'"f"{key}"{p.f.to_string()}"{item}"fai"{key}{p.fai}{item}"fai_witness"{key}{fai_witness}{item}'
             f'"n"{key}{p.f.n}}}\n'
         )
+        self._monomials = {} if self._monomials is None else self._monomials
+        return line
 
 
 # ---------------------------------------------------------------------------
@@ -275,16 +278,16 @@ class _Orbits:
     reps[r] is the least member of orbit r and degree[r] its degree;
     start[t] is the first rank of degree t, so start[n + 1] counts the
     orbits.  parts[i][r] is the block-i orbit of orbit r (blocks in the
-    order of _block_levels), an index into _block_parities' reps.  rows[r]
-    is the row of orbit r read as a point orbit O: bit c is the parity of
-    #{x in O : x within reps[c]}.  levels[t] is the slice of rows of degree t.
+    order of _block_levels), an index into _block_parities' reps.
+    levels[t] holds the rows of the orbits of degree t, in rank order: the
+    row of orbit r, read as a point orbit O, has bit c set iff
+    #{x in O : x within reps[c]} is odd.
     """
 
     reps: tuple[int, ...]
     degree: tuple[int, ...]
     start: tuple[int, ...]
     parts: tuple[tuple[int, ...], ...]
-    rows: tuple[int, ...]
     levels: tuple[tuple[int, ...], ...]
 
     @functools.cached_property
@@ -340,7 +343,7 @@ def _orbits(n: int) -> _Orbits:
     rows = tuple(functools.reduce(int.__and__, map(list.__getitem__, columns, p)) for p in ranked)
     start = tuple(bisect.bisect_left(degree, t) for t in range(n + 2))
     levels = tuple(rows[start[t] : start[t + 1]] for t in range(n + 1))
-    return _Orbits(reps, degree, start, parts, rows, levels)
+    return _Orbits(reps, degree, start, parts, levels)
 
 
 # ---------------------------------------------------------------------------

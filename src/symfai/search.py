@@ -23,7 +23,8 @@ This module holds only the census: how --out is examined, staged and
 published is the CLI's (cli._Target), which hands _search the examined
 target; _search renders its lines into files the target stages and gives
 them back to the target's publish.  write_profiles_jsonl, the reference
-writer of the tests, writes a report's lines directly.
+writer of the tests, writes a report's lines directly.  Both write a
+profile's line through one function, _writer.
 """
 
 from __future__ import annotations
@@ -240,14 +241,17 @@ def _search(n: int, budget_seconds: float | None, out) -> SearchReport:
     deterministic, so an error of that half is raised here, in the order
     one fold would raise it, and any other loss of the worker costs time.
 
-    With a target, each process renders its profile lines, as they are
-    made, into a _Body of its own, staged by out before the census, so a
-    target whose directory is missing or unwritable fails before any work.
-    The summary comes first but is known last, so once the census is done
-    out publishes the summary line and then this process's body and, if the
-    worker sent its report, the worker's.  A worker's body that is not
-    published is closed at once.  If the census raises, the target is
-    neither created nor truncated.
+    With a target, each process writes its profile lines, as they are
+    made, through a _writer into a file of its own, staged by out before the
+    census, so a target whose directory is missing or unwritable fails
+    before any work.  The files are text files without a name (O_TMPFILE on
+    Linux, unlinked at creation on other POSIX systems), so the operating
+    system removes them when they are closed or the process dies, however
+    it dies.  The summary comes first but is known last, so once the census
+    is done out publishes the summary line and then this process's file
+    and, if the worker sent its report, the worker's.  A worker's file that
+    is not published is closed at once.  If the census raises, the target
+    is neither created nor truncated.
 
     Before the fork this process profiles f = 0, which builds the per-n
     tables, or raises CapabilityError above the exact cap, before any fork.
@@ -263,15 +267,15 @@ def _search(n: int, budget_seconds: float | None, out) -> SearchReport:
     on.
     """
     fan_out = n >= _FAN_OUT_N and _usable_cpus() >= 2
-    bodies: list[_Body] = []  # this process's, then the worker's
+    files = []  # this process's, then the worker's
     pid = pipe = None
     try:
         if out is not None:
             for _ in range(1 + fan_out):
-                bodies.append(_Body(out.stage()))
+                files.append(out.stage())
         start = _start(n, budget_seconds)
         lower, upper = range(1 << n), range(1 << n, 1 << (n + 1))
-        own = bodies[0] if bodies else None
+        own = _writer(files[0]) if files else None
         if fan_out:
             immunity.profile(Sanfv(n, 0))
             sys.stdout.flush()
@@ -291,7 +295,7 @@ def _search(n: int, budget_seconds: float | None, out) -> SearchReport:
             except OSError:
                 pass
             if pid == 0:
-                _work(read_end, write_end, n, upper, budget_seconds, start, bodies[1] if bodies else None, parent)
+                _work(read_end, write_end, n, upper, budget_seconds, start, files[1] if files else None, parent)
             os.close(write_end)
         mine = _fold(n, lower, budget_seconds, start, own)
         theirs = None
@@ -301,12 +305,12 @@ def _search(n: int, budget_seconds: float | None, out) -> SearchReport:
             if status == 0:
                 theirs = pickle.loads(message)
         if theirs is None:
-            if fan_out and bodies:
-                bodies.pop().file.close()
+            if fan_out and files:
+                files.pop().close()
             theirs = _fold(n, upper, budget_seconds, start, own)
         report = _merge(mine, theirs)
         if out is not None:
-            out.publish(json.dumps(report.to_json_dict(), sort_keys=True) + "\n", [body.file for body in bodies])
+            out.publish(json.dumps(report.to_json_dict(), sort_keys=True) + "\n", files)
     finally:
         if pid:  # this process failed while the worker ran; a worker (pid 0) signals no one
             import signal
@@ -315,13 +319,16 @@ def _search(n: int, budget_seconds: float | None, out) -> SearchReport:
             os.waitpid(pid, 0)
         if pipe is not None:
             pipe.close()
-        for body in bodies:
-            body.file.close()
+        for file in files:
+            file.close()
     return report
 
 
-def _work(read_end: int, write_end: int, n: int, lams: range, budget_seconds: float | None, start: float, body, parent: int) -> None:
+def _work(read_end: int, write_end: int, n: int, lams: range, budget_seconds: float | None, start: float, file, parent: int) -> None:
     """Fold lams in a forked worker, send its report pickled on write_end, and leave the process.
+
+    With a file, the worker writes its profile lines into it (see _writer)
+    and flushes it before it sends its report.
 
     Everything the worker runs, from its step off its parent's CPU
     (_move_off) on, is inside one try, and it leaves by os._exit, so it
@@ -334,9 +341,9 @@ def _work(read_end: int, write_end: int, n: int, lams: range, budget_seconds: fl
     try:
         _move_off(parent)
         os.close(read_end)
-        report = _fold(n, lams, budget_seconds, start, body, parent)
-        if body is not None:
-            body.file.flush()
+        report = _fold(n, lams, budget_seconds, start, None if file is None else _writer(file), parent)
+        if file is not None:
+            file.flush()
         with open(write_end, "wb") as pipe:
             pickle.dump(report, pipe)
         code = 0
@@ -344,24 +351,15 @@ def _work(read_end: int, write_end: int, n: int, lams: range, budget_seconds: fl
         os._exit(code)
 
 
-class _Body:
-    """One part of the file of search --out; calling it renders a profile's line into it.
+def _writer(file):
+    """The fold's each for a text file: it writes a profile's JSON line into file.
 
-    file is a text file without a name that the target staged (O_TMPFILE on
-    Linux, unlinked at creation on other POSIX systems), so the operating
-    system removes it when it is closed or the process dies, however it
-    dies.  One immunity._ProfileRenderer renders all of its lines, so each
-    distinct witness is listed, and each monomial's text made, once per
-    body.
+    One immunity._ProfileRenderer renders all of the file's lines, so each
+    distinct witness is listed, and, from the second line on, each
+    monomial's text made, once per file.
     """
-
-    def __init__(self, file):
-        self.file = file
-        self._write = file.write
-        self._render = _ProfileRenderer((", ", ": "), memo_monomials=True).render
-
-    def __call__(self, p: ImmunityProfile) -> None:
-        self._write(self._render(p))
+    write, render = file.write, _ProfileRenderer((", ", ": ")).render
+    return lambda p: write(render(p))
 
 
 def write_profiles_jsonl(report: SearchReport, path: str) -> None:
@@ -373,8 +371,8 @@ def write_profiles_jsonl(report: SearchReport, path: str) -> None:
     that fails can leave a partial file; the search command stages its
     lines instead and leaves the target as it was.
     """
-    render = _ProfileRenderer((", ", ": "), memo_monomials=True).render
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(json.dumps(report.to_json_dict(), sort_keys=True) + "\n")
+        write = _writer(handle)
         for p in report.profiles:
-            handle.write(render(p))
+            write(p)

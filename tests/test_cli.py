@@ -16,7 +16,8 @@ import pytest
 
 import symfai as s
 from symfai.bounds import bound_suite
-from symfai.cli import _analyze_text, main
+from symfai.cli import main
+from symfai.immunity import _ProfileRenderer
 
 from conftest import run_python
 
@@ -219,7 +220,7 @@ def _render_peak_mb(f):
     report = bound_suite(p)
     tracemalloc.start()
     try:
-        _analyze_text(p, report, "json")
+        _ProfileRenderer((",", ":")).render(p, report)
         return tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()

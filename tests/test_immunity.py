@@ -564,6 +564,35 @@ def test_profile_json_lists_are_fresh():
     assert p.to_json_dict()["fai_witness"]["g"] == json_reference(p.fai_witness[0])
 
 
+def test_renderer_memoises_monomial_text_only_after_its_first_render(monkeypatch):
+    # a renderer lists each witness tuple once; the first render makes each
+    # listed monomial's text anew, even one that two witnesses share, so a
+    # one-line analyze keeps no memo, and later renders make each text once
+    def listed(p):  # the distinct witness tuples of p, by identity, as the renderer keys them
+        return list({id(t): t for t in (p.ai_witness, *(p.fai_witness or ()))}.values())
+
+    first, second = s.profile(s.Sanfv.from_string(3, "0010")), s.profile(s.majority(5))
+    first_masks = [m for t in listed(first) for m in t]
+    assert len(set(first_masks)) < len(first_masks)  # a monomial shared by two witnesses
+    second_masks = {m for t in listed(second) for m in t}
+    stringified = []
+    monkeypatch.setattr(immunity, "iter_bits", lambda m: stringified.append(m) or gf2.iter_bits(m))
+    renderer = immunity._ProfileRenderer((",", ":"))
+    lines = [renderer.render(first)]
+    assert sorted(stringified) == sorted(first_masks)
+    stringified.clear()
+    lines.append(renderer.render(second))
+    assert sorted(stringified) == sorted(second_masks)
+    stringified.clear()
+    # the same monomials in new witness tuples: listed again, but no text is made again
+    fresh = dataclasses.replace(second, ai_witness=tuple(list(second.ai_witness)))
+    assert fresh.ai_witness is not second.ai_witness
+    lines.append(renderer.render(fresh))
+    assert stringified == []
+    for p, line in zip((first, second, fresh), lines):
+        assert line == json.dumps(p.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def test_is_aar_small_n_exhaustive():
     assert not any(s.is_aar(s.Sanfv(5, bits)) for bits in range(1 << 6))
 
