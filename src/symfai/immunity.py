@@ -175,31 +175,28 @@ class _ProfileRenderer:
     "bounds_ok" added.  It builds neither that dict nor the encoder's
     token list.  Each distinct witness tuple is listed once: listings are
     keyed by the tuple's identity, and each entry holds the tuple, so its id
-    is not reused while the renderer lives.  Once its first render has
-    returned, a renderer also keeps each monomial's text, made the first
-    time a witness holds its mask: that pays off across the many lines of a
-    census or a report, while a renderer that renders one line, as analyze's
-    does, keeps its peak small without it.
+    is not reused while the renderer lives.  A monomial's text is read from
+    two 256-entry tables, the text of each byte value's set bit positions
+    for bits 0-7 and for bits 8-15 (MAX_EXACT_N <= 16), so the renderer
+    keeps nothing per mask.  Each table entry is led by the item separator,
+    which a monomial's text drops once; the monomials' brackets sit in the
+    separator that joins their texts.
     """
 
     def __init__(self, separators: tuple[str, str]):
         self.item, self.key = separators
-        self._monomials: dict[int, str] | None = None  # started once the first render has returned
         self._listings: dict[int, tuple[tuple[int, ...], str]] = {}
+        self._byte_texts = ([""] * 256, [""] * 256)  # the low byte's table, then the high byte's
+        for offset, t in zip((0, 8), self._byte_texts):  # b's lowest set bit, then the text of b without it
+            for b in range(1, 256):
+                t[b] = f"{self.item}{offset + (b & -b).bit_length() - 1}{t[b & (b - 1)]}"
 
     def _listed(self, masks: tuple[int, ...]) -> str:
         entry = self._listings.get(id(masks))
         if entry is None:
-            item, memo = self.item, self._monomials
-
-            def text(m: int) -> str:
-                return "[" + item.join(map(str, iter_bits(m))) + "]"
-
-            if memo is None:
-                parts = [text(m) for m in masks]
-            else:
-                parts = [memo.get(m) or memo.setdefault(m, text(m)) for m in masks]
-            entry = self._listings[id(masks)] = (masks, "[" + item.join(parts) + "]")
+            (low, high), cut, between = self._byte_texts, len(self.item), "]" + self.item + "["
+            listing = "[[" + between.join([(low[m & 255] + high[m >> 8])[cut:] for m in masks]) + "]]" if masks else "[]"
+            entry = self._listings[id(masks)] = (masks, listing)
         return entry[1]
 
     def render(self, p: ImmunityProfile, report: BoundReport | None = None) -> str:
@@ -215,14 +212,12 @@ class _ProfileRenderer:
             checks = json.dumps([c.to_json_dict() for c in report.checks], sort_keys=True, separators=(item, key))
             bounds = f'{item}"bounds"{key}{checks}{item}"bounds_ok"{key}{"true" if report.all_ok else "false"}'
         deg = p.deg
-        line = (
+        return (
             f'{{"ai"{key}{p.ai}{item}"ai_witness"{key}{self._listed(p.ai_witness)}{bounds}{item}'
             f'"capped"{key}{"true" if p.capped else "false"}{item}"deg"{key}{"null" if deg is None else deg}{item}'
             f'"f"{key}"{p.f.to_string()}"{item}"fai"{key}{p.fai}{item}"fai_witness"{key}{fai_witness}{item}'
             f'"n"{key}{p.f.n}}}\n'
         )
-        self._monomials = {} if self._monomials is None else self._monomials
-        return line
 
 
 # ---------------------------------------------------------------------------

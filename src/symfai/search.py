@@ -355,8 +355,7 @@ def _writer(file):
     """The fold's each for a text file: it writes a profile's JSON line into file.
 
     One immunity._ProfileRenderer renders all of the file's lines, so each
-    distinct witness is listed, and, from the second line on, each
-    monomial's text made, once per file.
+    distinct witness is listed once per file.
     """
     write, render = file.write, _ProfileRenderer((", ", ": ")).render
     return lambda p: write(render(p))

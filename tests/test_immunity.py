@@ -564,33 +564,52 @@ def test_profile_json_lists_are_fresh():
     assert p.to_json_dict()["fai_witness"]["g"] == json_reference(p.fai_witness[0])
 
 
-def test_renderer_memoises_monomial_text_only_after_its_first_render(monkeypatch):
-    # a renderer lists each witness tuple once; the first render makes each
-    # listed monomial's text anew, even one that two witnesses share, so a
-    # one-line analyze keeps no memo, and later renders make each text once
+def test_renderer_lists_every_monomial_below_the_cap():
+    # the byte tables cover masks of up to 16 bits: raising the cap past 16
+    # must widen them
+    assert immunity.MAX_EXACT_N <= 16
+    for separators in ((",", ":"), (", ", ": ")):
+        listed = immunity._ProfileRenderer(separators)._listed
+        assert listed(()) == "[]"
+        for m in range(1 << immunity.MAX_EXACT_N):
+            assert listed((m,)) == json.dumps([list(gf2.iter_bits(m))], separators=separators), (separators, m)
+
+
+def test_renderer_lists_each_witness_tuple_once_and_keeps_nothing_per_mask(monkeypatch):
+    # the render path makes a monomial's text from the byte tables, never
+    # through iter_bits, and lists each witness tuple, by identity, once
     def listed(p):  # the distinct witness tuples of p, by identity, as the renderer keys them
-        return list({id(t): t for t in (p.ai_witness, *(p.fai_witness or ()))}.values())
+        return {id(t): t for t in (p.ai_witness, *(p.fai_witness or ()))}
 
     first, second = s.profile(s.Sanfv.from_string(3, "0010")), s.profile(s.majority(5))
-    first_masks = [m for t in listed(first) for m in t]
+    first_masks = [m for t in listed(first).values() for m in t]
     assert len(set(first_masks)) < len(first_masks)  # a monomial shared by two witnesses
-    second_masks = {m for t in listed(second) for m in t}
-    stringified = []
-    monkeypatch.setattr(immunity, "iter_bits", lambda m: stringified.append(m) or gf2.iter_bits(m))
-    renderer = immunity._ProfileRenderer((",", ":"))
-    lines = [renderer.render(first)]
-    assert sorted(stringified) == sorted(first_masks)
-    stringified.clear()
-    lines.append(renderer.render(second))
-    assert sorted(stringified) == sorted(second_masks)
-    stringified.clear()
-    # the same monomials in new witness tuples: listed again, but no text is made again
+    # the same monomials in a new witness tuple
     fresh = dataclasses.replace(second, ai_witness=tuple(list(second.ai_witness)))
     assert fresh.ai_witness is not second.ai_witness
-    lines.append(renderer.render(fresh))
-    assert stringified == []
-    for p, line in zip((first, second, fresh), lines):
-        assert line == json.dumps(p.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+    profiles = (first, second, fresh, second)  # second is rendered twice
+    expected = [json.dumps(p.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n" for p in profiles]
+
+    def no_iter_bits(m):
+        raise AssertionError("the render path listed a mask through iter_bits")
+
+    monkeypatch.setattr(immunity, "iter_bits", no_iter_bits)
+    renderer = immunity._ProfileRenderer((",", ":"))
+    tables = [list(t) for t in renderer._byte_texts]
+    state = set(vars(renderer))
+    lines, listings = [], []
+    for p in profiles:
+        lines.append(renderer.render(p))
+        listings.append(dict(renderer._listings))
+    assert lines == expected
+    distinct = {**listed(first), **listed(second), **listed(fresh)}
+    assert renderer._listings.keys() == distinct.keys()
+    assert all(renderer._listings[k][0] is t for k, t in distinct.items())
+    # rendering second again listed nothing: every entry is the one already held
+    assert listings[-1].keys() == listings[-2].keys() and all(listings[-1][k] is v for k, v in listings[-2].items())
+    # no per-mask state: the same attributes, and byte tables left as built
+    assert set(vars(renderer)) == state
+    assert [list(t) for t in renderer._byte_texts] == tables and all(len(t) == 256 for t in tables)
 
 
 def test_is_aar_small_n_exhaustive():
