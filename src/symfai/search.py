@@ -4,21 +4,23 @@ profile_all(n) walks every symmetric function on n variables in SANFV
 integer order, profiles it, and checks the full inequality suite of
 bounds.bound_suite, read from its memo on (n, deg, AI, FAI) without a
 BoundReport per function; any violation is a library defect and lands in
-the report.  The walk is one fold over a stream of profiles: profile_all
-keeps them, while the MAI census and the JSONL writer of ``search --out``
-drop each one once it is read, so their memory follows the distinct
-witnesses, not the 2^(n+1) profiles.
+the report.  A census runs in two steps: _profile_range profiles a range
+of functions and keeps only each one's AI and FAI, two bytes, and
+_summary folds those bytes, in SANFV order, into the report.  profile_all
+keeps the profiles, while the MAI census and the JSONL writer of
+``search --out`` drop each one once it is read, so their memory follows
+the distinct witnesses, not the 2^(n+1) profiles.
 
-The library calls fold in one process.  The census of the search command,
-_search, has one path: it folds the lower half of the SANFV range in this
-process and then takes the upper half's report from a forked worker that
-folded it meanwhile (from n = 10, with two usable CPUs) and exited 0, or
-else folds the upper half itself; the halves are merged in SANFV order.
-The worker only saves time: no fan-out, a failed fork and a lost worker
-all take the same else.  The census is deterministic, so the summary,
-output file, stderr and exit code, and any error, are those of the
-one-process fold.  The per-n tables the worker shares are built by
-profiling f = 0 before the fork.
+The library calls profile in one process.  The census of the search
+command, _search, has one path: it profiles the lower half of the SANFV
+range in this process and then takes the upper half's bytes from a forked
+worker that profiled it meanwhile (from n = 10, with two usable CPUs),
+exited 0 and sent two bytes per function, or else profiles the upper half
+itself; one _summary then folds both halves.  The worker only saves
+time: no fan-out, a failed fork and a lost worker all take the same
+else.  The census is deterministic, so the summary, output file, stderr
+and exit code, and any error, are those of one process.  The per-n
+tables the worker shares are built by profiling f = 0 before the fork.
 This module holds only the census: how --out is examined, staged and
 published is the CLI's (cli._Target), which hands _search the examined
 target; _search renders its lines into files the target stages and gives
@@ -32,7 +34,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import pickle
 import sys
 import time
 import warnings
@@ -93,76 +94,69 @@ def _start(n: int, budget_seconds: float | None) -> float:
     return time.monotonic()
 
 
-def _fold(n: int, lams: range, budget_seconds: float | None, start: float, each=None, parent=None) -> SearchReport:
-    """Profile f = Sanfv(n, lam) for each lam of lams, in order, and fold the summary as it goes.
+def _profile_range(n: int, lams: range, budget_seconds: float | None, start: float, each=None, parent=None) -> bytearray:
+    """Profile f = Sanfv(n, lam) for each lam of lams, in order, and return each one's AI and FAI.
 
-    Each profile is handed to each (when it is not None) and then dropped,
-    so the fold holds only the summary: the report's profiles are empty and
-    its count is len(lams).  Every 64th lam checks the budget, counted from
-    start, and, in a worker whose parent pid is given, that the parent is
-    still there: an orphaned worker exits, since no one reads its half.
+    The result holds two bytes per lam, (AI, FAI), which _summary folds;
+    both fit in a byte, since FAI <= 2*AI <= n + 1 under the exact cap.
+    Each profile is handed to each (when it is not None) and then dropped.
+    Every 64th lam checks the budget, counted from start, and, in a worker
+    whose parent pid is given, that the parent is still there: an orphaned
+    worker exits, since no one reads its half.
     """
-    violations = []
-    max_fai = -1
-    max_fai_witnesses: list[str] = []
-    mai_list = []
-    mai_target = (n + 1) // 2
-
+    results = bytearray()
     for lam in lams:
         if lam % 64 == 0:
             if budget_seconds is not None and time.monotonic() - start > budget_seconds:
                 raise CapabilityError(f"search budget of {budget_seconds}s exceeded at n={n}")
             if parent is not None and os.getppid() != parent:
                 os._exit(1)
-        f = Sanfv(n, lam)
-        p = immunity.profile(f)
+        p = immunity.profile(Sanfv(n, lam))
         if each is not None:
             each(p)
-        for check in _bound_checks(n, p.deg, p.ai, p.fai):
+        results.extend((p.ai, p.fai))
+    return results
+
+
+def _summary(n: int, results, start: float) -> SearchReport:
+    """Fold the (AI, FAI) bytes of lam = 0, 1, ... (see _profile_range) into the census report.
+
+    The fold runs in SANFV order and reads deg from lam itself, so it makes
+    a Sanfv only to name a function it reports.  The profiles are empty,
+    the count is len(results) // 2 and the wall time counts from start.
+    """
+    violations = []
+    max_fai, max_fai_lams = -1, []
+    mai_lams = []
+    mai_target = (n + 1) // 2
+    pairs = iter(results)
+    for lam, (ai, fai) in enumerate(zip(pairs, pairs)):
+        for check in _bound_checks(n, lam.bit_length() - 1 if lam else None, ai, fai):
             if not check.ok:
-                violations.append(f"{f.to_string()}: {check.name}: {check.detail}")
-        if p.fai > max_fai:
-            max_fai = p.fai
-            max_fai_witnesses = [f.to_string()]
-        elif p.fai == max_fai:
-            max_fai_witnesses.append(f.to_string())
-        if p.ai == mai_target:
-            mai_list.append(f.to_string())
+                violations.append(f"{Sanfv(n, lam).to_string()}: {check.name}: {check.detail}")
+        if fai > max_fai:
+            max_fai, max_fai_lams = fai, [lam]
+        elif fai == max_fai:
+            max_fai_lams.append(lam)
+        if ai == mai_target:
+            mai_lams.append(lam)
 
     return SearchReport(
         n=n,
-        count=len(lams),
+        count=len(results) // 2,
         max_fai=max_fai,
-        max_fai_witnesses=tuple(max_fai_witnesses),
-        mai_list=tuple(mai_list),
+        max_fai_witnesses=tuple(Sanfv(n, lam).to_string() for lam in max_fai_lams),
+        mai_list=tuple(Sanfv(n, lam).to_string() for lam in mai_lams),
         violations=tuple(violations),
         wall_time_s=time.monotonic() - start,
         profiles=(),
     )
 
 
-def _merge(low: SearchReport, high: SearchReport) -> SearchReport:
-    """The report of one fold over low's range followed by high's."""
-    if low.max_fai == high.max_fai:
-        witnesses = low.max_fai_witnesses + high.max_fai_witnesses
-    else:
-        witnesses = max(low, high, key=lambda r: r.max_fai).max_fai_witnesses
-    return SearchReport(
-        n=low.n,
-        count=low.count + high.count,
-        max_fai=max(low.max_fai, high.max_fai),
-        max_fai_witnesses=witnesses,
-        mai_list=low.mai_list + high.mai_list,
-        violations=low.violations + high.violations,
-        wall_time_s=max(low.wall_time_s, high.wall_time_s),
-        profiles=low.profiles + high.profiles,
-    )
-
-
 def _census(n: int, budget_seconds: float | None = None, each=None) -> SearchReport:
     """Profile every f in SB_n in SANFV integer order, in this process, and fold the summary."""
     start = _start(n, budget_seconds)
-    return _fold(n, range(1 << (n + 1)), budget_seconds, start, each)
+    return _summary(n, _profile_range(n, range(1 << (n + 1)), budget_seconds, start, each), start)
 
 
 def profile_all(n: int, budget_seconds: float | None = None) -> SearchReport:
@@ -231,15 +225,17 @@ def _search(n: int, budget_seconds: float | None, out) -> SearchReport:
     out is the --out target as cli._Target examined it, or None.  The report
     and the file are those of _census(n, budget_seconds) and
     write_profiles_jsonl(profile_all(n), out.path).  The SANFV range is
-    folded as its lower half, range(2^n), and then its upper half; both are
-    even aligned, so f and f+1, which share one scan, stay in one half.
-    This process folds the lower half.  From n = 10, with two usable CPUs,
-    a forked worker folds the upper half meanwhile (see _work) and, if it
-    exits 0, sends its report, which is merged after this process's.
-    Otherwise (no fan-out, a failed fork, a worker that did not exit 0)
-    this process folds the upper half itself after its own: the census is
-    deterministic, so an error of that half is raised here, in the order
-    one fold would raise it, and any other loss of the worker costs time.
+    profiled as its lower half, range(2^n), and then its upper half; both
+    are even aligned, so f and f+1, which share one scan, stay in one half.
+    This process profiles the lower half.  From n = 10, with two usable
+    CPUs, a forked worker profiles the upper half meanwhile (see _work) and
+    sends its (AI, FAI) bytes, which are taken only if the worker exited 0
+    and sent exactly two bytes per function of its half.  Otherwise (no
+    fan-out, a failed fork, a worker that did not exit 0 or sent a message
+    of another length) this process profiles the upper half itself after its own:
+    the census is deterministic, so an error of that half is raised here,
+    in the order one process would raise it, and any other loss of the
+    worker costs time.  One _summary folds the bytes of both halves.
 
     With a target, each process writes its profile lines, as they are
     made, through a _writer into a file of its own, staged by out before the
@@ -249,8 +245,8 @@ def _search(n: int, budget_seconds: float | None, out) -> SearchReport:
     system removes them when they are closed or the process dies, however
     it dies.  The summary comes first but is known last, so once the census
     is done out publishes the summary line and then this process's file
-    and, if the worker sent its report, the worker's.  A worker's file that
-    is not published is closed at once.  If the census raises, the target
+    and, if the worker's bytes were taken, the worker's.  A worker's file
+    that is not published is closed at once.  If the census raises, the target
     is neither created nor truncated.
 
     Before the fork this process profiles f = 0, which builds the per-n
@@ -261,7 +257,7 @@ def _search(n: int, budget_seconds: float | None, out) -> SearchReport:
     its mask without that CPU and at once takes its whole mask back
     (_move_off), which leaves the scheduler free to move it when that CPU
     gets busy.  This process never touches its affinity, nor gc.
-    The worker's report is read to its end before the worker is
+    The worker's message is read to its end before the worker is
     reaped, so a long message cannot block it.  If this process fails while
     the worker runs, the worker is killed and reaped before the error goes
     on.
@@ -297,18 +293,18 @@ def _search(n: int, budget_seconds: float | None, out) -> SearchReport:
             if pid == 0:
                 _work(read_end, write_end, n, upper, budget_seconds, start, files[1] if files else None, parent)
             os.close(write_end)
-        mine = _fold(n, lower, budget_seconds, start, own)
+        mine = _profile_range(n, lower, budget_seconds, start, own)
         theirs = None
         if pid is not None:
             message = pipe.read()
             status, pid = os.waitpid(pid, 0)[1], None
-            if status == 0:
-                theirs = pickle.loads(message)
+            if status == 0 and len(message) == 2 * len(upper):
+                theirs = message
         if theirs is None:
             if fan_out and files:
                 files.pop().close()
-            theirs = _fold(n, upper, budget_seconds, start, own)
-        report = _merge(mine, theirs)
+            theirs = _profile_range(n, upper, budget_seconds, start, own)
+        report = _summary(n, mine + theirs, start)
         if out is not None:
             out.publish(json.dumps(report.to_json_dict(), sort_keys=True) + "\n", files)
     finally:
@@ -325,27 +321,27 @@ def _search(n: int, budget_seconds: float | None, out) -> SearchReport:
 
 
 def _work(read_end: int, write_end: int, n: int, lams: range, budget_seconds: float | None, start: float, file, parent: int) -> None:
-    """Fold lams in a forked worker, send its report pickled on write_end, and leave the process.
+    """Profile lams in a forked worker, send their (AI, FAI) bytes on write_end, and leave the process.
 
     With a file, the worker writes its profile lines into it (see _writer)
-    and flushes it before it sends its report.
+    and flushes it before it sends its bytes.
 
     Everything the worker runs, from its step off its parent's CPU
     (_move_off) on, is inside one try, and it leaves by os._exit, so it
     runs no cleanup of its parent's and never returns into the stack it
-    was forked from: with status 0 once the report is sent, and with status
-    1, having sent nothing, on any error.  The parent then folds lams
+    was forked from: with status 0 once the bytes are sent, and with status
+    1, having sent nothing, on any error.  The parent then profiles lams
     itself and meets the error there.
     """
     code = 1
     try:
         _move_off(parent)
         os.close(read_end)
-        report = _fold(n, lams, budget_seconds, start, None if file is None else _writer(file), parent)
+        results = _profile_range(n, lams, budget_seconds, start, None if file is None else _writer(file), parent)
         if file is not None:
             file.flush()
         with open(write_end, "wb") as pipe:
-            pickle.dump(report, pipe)
+            pipe.write(results)
         code = 0
     finally:
         os._exit(code)

@@ -282,7 +282,7 @@ def test_search_out_streams_in_bounded_memory(tmp_path, monkeypatch):
 
 
 def test_fanned_out_search_out_streams_in_bounded_memory(tmp_path, monkeypatch):
-    # the parent folds half of the census and merges the worker's report
+    # the parent profiles half of the census and folds the worker's bytes after its own
     import os
 
     from symfai import search

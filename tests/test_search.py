@@ -575,32 +575,12 @@ def test_fanned_out_search_equals_the_one_process_census(n, tmp_path, monkeypatc
     assert sorted(tmp_path.iterdir()) == [streamed, written]
 
 
-def _report(max_fai, witnesses, mai, violations):
-    return search.SearchReport(3, 4, max_fai, witnesses, mai, violations, 0.0, ())
-
-
-@pytest.mark.parametrize(
-    "high_fai, witnesses",
-    [(6, ("c",)), (5, ("a", "b", "c")), (4, ("a", "b"))],
-    ids=["above", "equal", "below"],
-)
-def test_merge_keeps_the_order_of_one_fold(high_fai, witnesses):
-    low = _report(5, ("a", "b"), ("m1", "m2"), ("v1",))
-    high = _report(high_fai, ("c",), ("m3",), ("v2", "v3"))
-    merged = search._merge(low, high)
-    assert (merged.count, merged.max_fai, merged.max_fai_witnesses) == (8, max(5, high_fai), witnesses)
-    assert merged.mai_list == ("m1", "m2", "m3")
-    assert merged.violations == ("v1", "v2", "v3")
-
-
-def test_merged_halves_equal_the_whole_census():
+@pytest.mark.parametrize("split", [0, 16, 22, 64, 100, 128])
+def test_the_summary_of_two_ranges_joined_equals_the_whole_census(split):
     # SB_6 has bound violations; no lam below 16 reaches its maximum FAI,
     # and a split at 22 leaves maximal functions in both halves
-    whole = search._census(6)
-    for split in (0, 16, 22, 64, 100, 128):
-        low, high = (search._fold(6, lams, None, 0.0) for lams in (range(split), range(split, 128)))
-        merged = search._merge(low, high)
-        assert _summary(merged) == _summary(whole), split
+    low, high = (search._profile_range(6, lams, None, 0.0) for lams in (range(split), range(split, 128)))
+    assert _summary(search._summary(6, low + high, 0.0)) == _summary(search._census(6))
 
 
 def test_library_calls_never_fork(tmp_path, monkeypatch):
@@ -815,6 +795,29 @@ def test_a_lost_worker_costs_time_not_the_census(act, census10, tmp_path, monkey
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_a_worker_message_one_byte_short_costs_time_not_the_census(census10, tmp_path, monkeypatch, capsys):
+    # the worker drops the last byte of its half and still exits 0: this
+    # process profiles that half itself and publishes no line of the worker
+    profile_range = search._profile_range
+
+    def short(*args):
+        results = profile_range(*args)
+        return results[:-1] if os.getpid() != _TEST_PID else results
+
+    target = tmp_path / "census.jsonl"
+    monkeypatch.setattr(search, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(search, "_profile_range", short)
+    forks = _counted_forks(monkeypatch)
+    capsys.readouterr()
+    with _deadline(60):
+        assert main(["search", "--n", "10", "--out", str(target)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert len(forks) == 1 and target.read_bytes() == census10
+    assert list(tmp_path.iterdir()) == [target]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 _CLOSE_FAILS_IN_THE_WORKER = """
 import os, sys
 from symfai import search
@@ -981,7 +984,7 @@ def _no_proc(monkeypatch):
 )
 def test_no_move_unless_the_worker_shares_its_parents_cpu(setup, fans_out, calls, tmp_path, monkeypatch, capsys):
     # any call, in either process, is logged to a file; a worker that fans
-    # out sends its report, so this process folds the lower half only
+    # out sends its bytes, so this process profiles the lower half only
     log = tmp_path / "calls"
     (tmp_path / "out").mkdir()
     target = tmp_path / "out" / "census.jsonl"
@@ -991,13 +994,13 @@ def test_no_move_unless_the_worker_shares_its_parents_cpu(setup, fans_out, calls
             handle.write(f"{'parent' if os.getpid() == _TEST_PID else 'worker'} {sorted(mask)}\n")
 
     monkeypatch.setattr(os, "sched_setaffinity", log_call, raising=False)
-    folds, fold = [], search._fold
+    folds, fold = [], search._profile_range
 
     def recording(n, lams, *args):
         folds.append(lams)
         return fold(n, lams, *args)
 
-    monkeypatch.setattr(search, "_fold", recording)
+    monkeypatch.setattr(search, "_profile_range", recording)
     setup(monkeypatch)
     with _deadline(60):
         assert main(["search", "--n", "10", "--out", str(target)]) == 0
@@ -1024,13 +1027,13 @@ def test_this_process_folds_both_halves_into_its_own_body_when_no_report_arrives
 ):
     # the lower half and then the upper half, each through this process's
     # one line writer; the worker's file, if any, is not published
-    calls, fold = [], search._fold
+    calls, fold = [], search._profile_range
 
     def recording(n, lams, budget_seconds, start, each=None, parent=None):
         calls.append((lams, each))
         return fold(n, lams, budget_seconds, start, each, parent)
 
-    monkeypatch.setattr(search, "_fold", recording)
+    monkeypatch.setattr(search, "_profile_range", recording)
     monkeypatch.setattr(search, "_usable_cpus", lambda: cpus)
     if lose is not None:
         lose(monkeypatch)
